@@ -11,6 +11,8 @@ use uhscm_linalg::Matrix;
 
 const MAGIC: &[u8; 4] = b"UHBC";
 const FORMAT_VERSION: u32 = 1;
+/// Words [`BitCodes::load`] reads per chunk (8 KiB of stack).
+const LOAD_CHUNK_WORDS: usize = 1024;
 
 /// A set of `n` binary codes of `bits` bits each, packed 64 per word.
 ///
@@ -174,8 +176,11 @@ impl BitCodes {
 
     /// Deserialize codes written by [`Self::save`].
     ///
-    /// Returns `InvalidData` errors for wrong magic/version or impossible
-    /// dimensions, and `UnexpectedEof` for truncation.
+    /// Returns `InvalidData` errors for wrong magic/version, impossible
+    /// dimensions or set padding bits (the [`Self::from_words`] checks),
+    /// and `UnexpectedEof` for truncation. The body is read in bounded
+    /// chunks, so memory grows only with the bytes actually present, never
+    /// with the count a header claims.
     pub fn load(r: &mut impl Read) -> io::Result<BitCodes> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut magic = [0u8; 4];
@@ -197,13 +202,20 @@ impl BitCodes {
         if bits == 0 || bits > 1 << 20 || n > 1 << 32 {
             return Err(bad("bitcode dimensions out of range"));
         }
-        let words_per_code = bits.div_ceil(64);
-        let mut data = vec![0u64; n * words_per_code];
-        for word in &mut data {
-            r.read_exact(&mut buf8)?;
-            *word = u64::from_le_bytes(buf8);
+        let total =
+            n.checked_mul(bits.div_ceil(64)).ok_or_else(|| bad("bitcode size overflows"))?;
+        let mut bytes = [0u8; 8 * LOAD_CHUNK_WORDS];
+        let mut data = Vec::new();
+        while data.len() < total {
+            let chunk = &mut bytes[..8 * (total - data.len()).min(LOAD_CHUNK_WORDS)];
+            r.read_exact(chunk)?;
+            data.extend(chunk.chunks_exact(8).map(|b| {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(b);
+                u64::from_le_bytes(word)
+            }));
         }
-        Ok(BitCodes { n, bits, words_per_code, data })
+        BitCodes::from_words(n, bits, data).map_err(bad)
     }
 
     /// Append all codes from `other` (same bit width).
@@ -480,6 +492,45 @@ mod tests {
         codes.save(&mut buf).unwrap();
         buf.truncate(buf.len() - 4);
         assert!(BitCodes::load(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn load_rejects_set_padding_bits() {
+        // A 3-bit code whose stored word also sets padding bits 3..8 would
+        // scan at distances above the code width.
+        let codes = BitCodes::from_bools(&[vec![true, false, true]]);
+        let mut buf = Vec::new();
+        codes.save(&mut buf).unwrap();
+        assert_eq!(BitCodes::load(&mut buf.as_slice()).unwrap(), codes);
+        let body = buf.len() - 8;
+        buf[body] |= 0xF8;
+        let err = BitCodes::load(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("padding"), "{err}");
+    }
+
+    #[test]
+    fn load_of_a_forged_header_fails_without_the_claimed_allocation() {
+        // 2^32 codes of 2^20 bits claim 512 TiB; the body holds one word.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        let err = BitCodes::load(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn load_reads_bodies_longer_than_one_chunk() {
+        let codes = BitCodes::from_bools(&patterned_rows(LOAD_CHUNK_WORDS / 2 + 3, 130, 5));
+        let mut buf = Vec::new();
+        codes.save(&mut buf).unwrap();
+        assert_eq!(BitCodes::load(&mut buf.as_slice()).unwrap(), codes);
+        buf.pop();
+        let err = BitCodes::load(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   they were evaluated at, mutation receipts with an explicit
 //!   `committed_generation`, or a structured error reason.
 //! * [`shard`] — the generation-swapped [`ShardedIndex`]: immutable
-//!   copy-on-write segments searched fan-out/merge with results bit-for-bit
-//!   identical to the offline `HammingRanker` at any shard count; inserts
+//!   copy-on-write segments, searched one query batch per pass over the
+//!   codes with results bit-for-bit identical to the offline
+//!   `HammingRanker` at any shard count; inserts
 //!   and removes commit new generations via an atomic pointer swap while
 //!   in-flight queries finish on the generation they pinned.
 //! * [`bundle`] — the hot-reloadable serving [`Bundle`] (model + concept

@@ -278,13 +278,6 @@ impl Engine {
         self.snapshot().encode(batch)
     }
 
-    /// Sharded global top-`n` for query `qi` of `codes` against the current
-    /// generation (see [`ShardedIndex::search`] for the determinism
-    /// contract).
-    pub fn search(&self, codes: &BitCodes, qi: usize, n: usize) -> Vec<(u32, u32)> {
-        self.index.search(codes, qi, n)
-    }
-
     /// Encode `rows` with one pinned bundle and append the codes as one
     /// committed generation. Returns the commit receipt plus the version of
     /// the bundle that encoded the rows, so a client (or the swap-boundary
@@ -865,8 +858,9 @@ fn run_batch(engine: &Engine, batch: Vec<PendingQuery>) {
         flat.extend_from_slice(&p.features);
     }
     let codes = snap.encode(&Matrix::from_vec(live.len(), cols, flat));
-    for (i, p) in live.into_iter().enumerate() {
-        let hits = snap.generation.search(&codes, i, p.top_k);
+    let top_ks: Vec<usize> = live.iter().map(|p| p.top_k).collect();
+    let answers = snap.generation.search_batch(&codes, &top_ks);
+    for (p, hits) in live.into_iter().zip(answers) {
         obs_count!("serve.answered", 1);
         (p.reply)(Response::Hits {
             id: p.id,

@@ -1,5 +1,5 @@
 //! Generation-swapped sharded Hamming index: copy-on-write segments with
-//! lock-free-for-readers commits.
+//! lock-free-for-readers commits, searched a whole query batch at a time.
 //!
 //! The database lives in immutable [`Generation`]s. A generation is a list
 //! of contiguous, `Arc`-shared *segments* (each a [`BitCodes`] block whose
@@ -13,14 +13,28 @@
 //! one and its child), and they share all segment storage, so the extra
 //! memory is `O(inserted codes + tombstones)`, never a second database.
 //!
-//! Determinism contract (unchanged from the read-only index): segments are
-//! contiguous global-index bands, so a segment-local scan that emits
-//! `(distance, global_index)` candidates in ascending order, merged with
-//! [`uhscm_eval::merge_top_n`], reproduces the single-scan
-//! `(distance, index)` ranking bit-for-bit at any segment count. Tombstoned
-//! indices are skipped during the scan itself, which is exactly what a
-//! linear scan over the live items would produce — the mutation proptest
-//! and the swap-boundary loopback harness both pin this against oracles.
+//! Search ([`Generation::search_batch`]) walks each segment in
+//! [`hamming_scan::SCAN_BLOCK`]-code blocks and scans every block for
+//! every query of the batch while the block is in L1, so a batch of `b`
+//! queries reads the codes once, not `b` times. Each query feeds its
+//! distances to an exact streaming selector: because distances lie in
+//! `0..=bits`, a `bits + 1` histogram of the accepted candidates yields the
+//! running `k`-th distance, the *bound*. A run of codes at or beyond the
+//! bound costs one vectorized minimum and one compare; only codes under
+//! the bound are looked up in the tombstone set. Segment chunks fan out through [`par::par_map_chunks`]
+//! and their per-query lists merge with [`uhscm_eval::merge_top_n`].
+//!
+//! Determinism contract: every query gets the `(distance, global_index)`
+//! ascending top-`k` of the live codes — the offline counting-sort
+//! tie-break restricted to non-tombstoned indices — at any segment count,
+//! thread count and batch composition. Exactness: candidates arrive in
+//! ascending global index, so when a code is rejected at `d ≥ bound`, the
+//! at least `k` accepted candidates at distance `≤ bound` all precede it
+//! in `(distance, index)` order; a rejected code can never place.
+//! Precondition: every distance is `≤ bits`, which the [`BitCodes`]
+//! constructors guarantee by refusing set padding bits. The mutation
+//! proptest and the swap-boundary loopback harness pin this against
+//! oracles.
 //!
 //! Lock discipline (checked by `xtask lint`'s lock passes): `mutate` is a
 //! plain writer-serialization mutex; `current` is the published pointer.
@@ -30,7 +44,6 @@
 //! search work ever happens under either lock.
 
 use std::collections::BTreeSet;
-use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use uhscm_eval::bitcode::hamming_scan;
@@ -46,51 +59,94 @@ struct Segment {
     codes: BitCodes,
 }
 
-impl Segment {
-    /// Ascending `(distance, global_index)` top-`n` over this segment's
-    /// *live* codes. The bounded max-heap keeps the best `n` candidates and
-    /// `into_sorted_vec` emits them in exactly the counting-sort tie-break
-    /// order (the lexicographic key is unique per candidate), so skipping
-    /// tombstones here is indistinguishable from scanning a database that
-    /// never contained them.
-    fn top_n(
-        &self,
-        queries: &BitCodes,
-        qi: usize,
-        n: usize,
-        tombstones: &BTreeSet<u32>,
-    ) -> Vec<(u32, u32)> {
-        let total = self.codes.len();
-        // The heap is trimmed to `n` entries after every push and can never
-        // hold more than this segment's code count, so its capacity is
-        // bounded by what we store — a caller-supplied `n` (ultimately a
-        // wire `top_k`) cannot size the allocation past the data.
-        let cap = n.min(total).saturating_add(1);
-        let mut heap: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(cap);
-        let mut block = [0u32; hamming_scan::SCAN_BLOCK];
-        let mut start = 0;
-        while start < total {
-            let end = (start + hamming_scan::SCAN_BLOCK).min(total);
-            let dists = &mut block[..end - start];
-            hamming_scan::scan_range_into(queries, qi, &self.codes, start..end, dists);
-            for (off, &d) in dists.iter().enumerate() {
-                let global = self.offset + (start + off) as u32;
-                if tombstones.contains(&global) {
-                    continue;
-                }
-                let cand = (d, global);
-                if heap.len() < n {
-                    heap.push(cand);
-                } else if let Some(&worst) = heap.peek() {
-                    if cand < worst {
-                        heap.pop();
-                        heap.push(cand);
-                    }
+/// Codes per bound check in [`Selector::offer`].
+const OFFER_RUN: usize = 128;
+
+/// Exact streaming top-`k` for one query over candidates offered in
+/// ascending global index order.
+struct Selector {
+    /// Hits wanted (already clamped to the generation's code count).
+    k: usize,
+    /// Accepted candidates in arrival order; cut back to the `k` that can
+    /// still place whenever it reaches `2k`, so it stays `O(k)`.
+    kept: Vec<(u32, u32)>,
+    /// `hist[d]`: candidates ever accepted at distance `d`.
+    hist: Vec<u32>,
+    /// The `k`-th smallest accepted distance once `k` candidates are in,
+    /// `bits + 1` before that, 0 for `k == 0`. Only distances below it are
+    /// accepted.
+    bound: u32,
+    /// Accepted candidates at distances below `bound`.
+    ahead: usize,
+}
+
+impl Selector {
+    fn new(k: usize, bits: usize) -> Self {
+        let open = u32::try_from(bits).map_or(u32::MAX, |b| b.saturating_add(1));
+        Selector {
+            k,
+            kept: Vec::new(),
+            hist: vec![0; bits.saturating_add(1)],
+            bound: if k == 0 { 0 } else { open },
+            ahead: 0,
+        }
+    }
+
+    /// No further code can enter: all `k` places are taken at distance 0.
+    fn closed(&self) -> bool {
+        self.bound == 0
+    }
+
+    /// Offer the distances of the consecutive global indices `first..`.
+    fn offer(&mut self, dists: &[u32], first: u32, tombstones: &BTreeSet<u32>) {
+        // Once the bound settles, most runs of codes hold none under it: a
+        // vectorized minimum rejects a whole run without a branch per code.
+        for (run, start) in dists.chunks(OFFER_RUN).zip((first..).step_by(OFFER_RUN)) {
+            if run.iter().fold(u32::MAX, |m, &d| m.min(d)) >= self.bound {
+                continue;
+            }
+            for (&d, global) in run.iter().zip(start..) {
+                if d < self.bound && !tombstones.contains(&global) {
+                    self.accept(d, global);
                 }
             }
-            start = end;
         }
-        heap.into_sorted_vec()
+    }
+
+    fn accept(&mut self, d: u32, global: u32) {
+        self.kept.push((d, global));
+        self.hist[d as usize] += 1;
+        self.ahead += 1;
+        // Lower the bound until fewer than `k` accepted candidates lie
+        // below it; it only ever falls, so this is `O(bits)` per query.
+        while self.ahead >= self.k {
+            self.bound -= 1;
+            self.ahead -= self.hist[self.bound as usize] as usize;
+        }
+        if self.kept.len() >= self.k.saturating_mul(2) {
+            self.compact();
+        }
+    }
+
+    /// Keep only the candidates that still place: those below the bound
+    /// and the first `k - ahead` arrivals (smallest indices) at it.
+    fn compact(&mut self) {
+        let bound = self.bound;
+        let mut ties = self.k.saturating_sub(self.ahead);
+        self.kept.retain(|&(d, _)| {
+            if d == bound && ties > 0 {
+                ties -= 1;
+                return true;
+            }
+            d < bound
+        });
+    }
+
+    /// The selected hits in ascending `(distance, index)` order.
+    fn finish(mut self) -> Vec<(u32, u32)> {
+        self.compact();
+        self.kept.sort_unstable();
+        self.kept
     }
 }
 
@@ -181,36 +237,77 @@ impl Generation {
         }
     }
 
-    /// Global top-`n` for query `qi` of `queries`, as `(distance,
-    /// global_index)` pairs in ascending `(distance, index)` order over the
-    /// live codes — the offline ranker's counting-sort tie-break contract,
-    /// restricted to non-tombstoned indices.
-    ///
-    /// Segments are searched via [`par::par_map_chunks`], so the fan-out
-    /// uses the same deterministic worker pool as the dense kernels (and
-    /// runs serially under a serial plan, bit-for-bit identically).
+    /// Global top-`n` for query `qi` of `queries`: a one-query
+    /// [`Self::search_batch`].
     pub fn search(&self, queries: &BitCodes, qi: usize, n: usize) -> Vec<(u32, u32)> {
+        let one = queries.slice(qi..qi.saturating_add(1));
+        self.search_batch(&one, &[n]).pop().unwrap_or_default()
+    }
+
+    /// Global top-`top_ks[q]` for every query `q` of `queries`, as
+    /// `(distance, global_index)` pairs in ascending `(distance, index)`
+    /// order over the live codes — the offline ranker's counting-sort
+    /// tie-break contract, restricted to non-tombstoned indices. One pass
+    /// over the codes serves the whole batch (see the module docs).
+    ///
+    /// Segment chunks are searched via [`par::par_map_chunks`], so the
+    /// fan-out uses the same deterministic worker pool as the dense kernels
+    /// (and runs serially under a serial plan, bit-for-bit identically).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `top_ks.len() != queries.len()`, or if a query is scanned
+    /// against codes of a different width.
+    pub fn search_batch(&self, queries: &BitCodes, top_ks: &[usize]) -> Vec<Vec<(u32, u32)>> {
         obs_span!("serve_search");
-        if n == 0 || self.segments.is_empty() {
-            return Vec::new();
-        }
-        // Clamp the caller-provided `n` into a fresh binding before it
-        // reaches any heap- or buffer-sizing position: no search can return
-        // more than `total` hits, so the clamp never changes a result, and
-        // the taint pass's name-based tracking sees the sanitized value.
-        let want = n.min(self.total);
-        // Work estimate: one popcount pass over every stored word.
+        assert_eq!(top_ks.len(), queries.len(), "one top_k per query");
+        // No search can return more than `total` hits, so clamping the
+        // caller's `top_k` never changes a result and bounds every buffer.
+        let wants: Vec<usize> = top_ks.iter().map(|&n| n.min(self.total)).collect();
+        // Work estimate: one popcount pass over every stored word per query.
         let words = self.bits.div_ceil(64).max(1);
-        let per_segment: Vec<Vec<(u32, u32)>> =
-            par::par_map_chunks(self.segments.len(), self.total * words, |chunk| {
-                chunk
-                    .map(|s| self.segments[s].top_n(queries, qi, want, &self.tombstones))
-                    .collect::<Vec<_>>()
+        let work = self.total.saturating_mul(words).saturating_mul(wants.len());
+        let mut chunks = par::par_map_chunks(self.segments.len(), work, |chunk| {
+            self.scan_chunk(&self.segments[chunk], queries, &wants)
+        });
+        wants
+            .iter()
+            .enumerate()
+            .map(|(q, &want)| {
+                let lists: Vec<Vec<(u32, u32)>> =
+                    chunks.iter_mut().map(|chunk| std::mem::take(&mut chunk[q])).collect();
+                merge_top_n(&lists, want)
             })
-            .into_iter()
-            .flatten()
-            .collect();
-        merge_top_n(&per_segment, want)
+            .collect()
+    }
+
+    /// Per-query exact top-`wants[q]` over the live codes of `segments`, a
+    /// run of segments in ascending offset order.
+    fn scan_chunk(
+        &self,
+        segments: &[Arc<Segment>],
+        queries: &BitCodes,
+        wants: &[usize],
+    ) -> Vec<Vec<(u32, u32)>> {
+        let mut selectors: Vec<Selector> =
+            wants.iter().map(|&k| Selector::new(k, self.bits)).collect();
+        let mut block = [0u32; hamming_scan::SCAN_BLOCK];
+        for segment in segments {
+            let len = segment.codes.len();
+            for start in (0..len).step_by(hamming_scan::SCAN_BLOCK) {
+                let end = len.min(start + hamming_scan::SCAN_BLOCK);
+                let first = segment.offset + start as u32;
+                let dists = &mut block[..end - start];
+                for (q, selector) in selectors.iter_mut().enumerate() {
+                    if selector.closed() {
+                        continue;
+                    }
+                    hamming_scan::scan_range_into(queries, q, &segment.codes, start..end, dists);
+                    selector.offer(dists, first, &self.tombstones);
+                }
+            }
+        }
+        selectors.into_iter().map(Selector::finish).collect()
     }
 }
 
@@ -645,5 +742,76 @@ mod tests {
     fn remove_out_of_range_panics() {
         let index = ShardedIndex::new(&toy_codes(3, 4), 1);
         index.remove(3);
+    }
+
+    /// Sorted linear scan over the live codes: the selector's oracle.
+    fn live_top_n(
+        db: &BitCodes,
+        dead: &[u32],
+        q: &BitCodes,
+        qi: usize,
+        n: usize,
+    ) -> Vec<(u32, u32)> {
+        let mut all: Vec<(u32, u32)> = (0..db.len() as u32)
+            .filter(|j| !dead.contains(j))
+            .map(|j| (q.hamming(qi, db, j as usize), j))
+            .collect();
+        all.sort_unstable();
+        all.truncate(n);
+        all
+    }
+
+    #[test]
+    fn batch_search_is_exact_with_ties_and_tombstones_at_the_bound() {
+        // Query 0 is all-zero. Every code but 7, 19 and 33 sits at distance
+        // 2 from it, so past the third hit all codes tie at the bound; the
+        // tombstones hit the 6th place (2), a closer code (19) and an
+        // inserted tie (41). Query 1 is the common code itself: everything
+        // ties at distance 0, closing the selectors early. The descending
+        // database (distance falls with index) makes nearly every code enter
+        // and forces repeated compaction. The random database spans several
+        // scan blocks and bound-check runs.
+        let bits = 6;
+        let code = |set: usize| (0..bits).map(|b| b < set).collect::<Vec<bool>>();
+        let closer = [7usize, 19, 33];
+        let ties: Vec<Vec<bool>> =
+            (0..40).map(|i| if closer.contains(&i) { code(1) } else { code(2) }).collect();
+        let descending: Vec<Vec<bool>> = (0..40).map(|i| code(bits - i * bits / 40)).collect();
+        let noise =
+            uhscm_linalg::rng::gauss_matrix(&mut uhscm_linalg::rng::seeded(5), 1300, bits, 1.0);
+        let random: Vec<Vec<bool>> =
+            (0..1300).map(|i| noise.row(i).iter().map(|&v| v > 0.0).collect()).collect();
+        let queries = BitCodes::from_bools(&[code(0), code(2), code(0), code(3), code(2), code(0)]);
+        let added = BitCodes::from_bools(&vec![code(2); 5]);
+        let dead = [2u32, 19, 41];
+        for rows in [ties, descending, random] {
+            let genesis = BitCodes::from_bools(&rows);
+            let mut db = genesis.clone();
+            db.extend(&added);
+            let live = db.len() - dead.len();
+            let top_ks = [6, 5, 0, live, 1, db.len() + 5];
+            for shards in [1usize, 2, 3, 40] {
+                let index = ShardedIndex::new(&genesis, shards);
+                index.insert(&added);
+                for &j in &dead {
+                    assert!(index.remove(j as usize).removed);
+                }
+                let snap = index.snapshot();
+                for threads in [1usize, 2, 3] {
+                    let got = par::with_threads(threads, || snap.search_batch(&queries, &top_ks));
+                    for (qi, hits) in got.iter().enumerate() {
+                        let want = live_top_n(&db, &dead, &queries, qi, top_ks[qi]);
+                        assert_eq!(hits, &want, "shards={shards} threads={threads} qi={qi}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one top_k per query")]
+    fn batch_search_needs_one_top_k_per_query() {
+        let index = ShardedIndex::new(&toy_codes(3, 4), 1);
+        index.snapshot().search_batch(&toy_codes(2, 4), &[1]);
     }
 }

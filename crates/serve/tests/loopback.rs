@@ -344,34 +344,36 @@ fn pipelined_mixed_valid_and_invalid_requests_stay_well_framed() {
 #[test]
 fn batched_and_sequential_queries_agree_with_each_other() {
     // The same queries sent one-at-a-time (sequential batches of 1) and in
-    // one pipelined burst (coalesced batches) must produce identical hits:
-    // batch composition must not leak into results.
-    let w = synth::workload(SEED, DIM, BITS, N_DB, 6);
-    let top_k = 7;
+    // one pipelined burst of a full default batch (coalesced into one
+    // batched search) must produce identical hits at mixed depths, from
+    // one hit to more than the database holds: batch composition must not
+    // leak into results.
+    const BURST: usize = 16;
+    assert_eq!(ServeConfig::default().max_batch, BURST);
+    let w = synth::workload(SEED, DIM, BITS, N_DB, BURST);
+    let top_k = |qi: usize| [1, 7, N_DB, N_DB + 12][qi % 4];
 
     let run = |max_wait: Duration, pipelined: bool| -> Vec<Vec<(u32, u32)>> {
         let engine = Engine::new(w.model.clone(), &w.db, 4).expect("widths match");
         let config = ServeConfig { max_wait, ..ServeConfig::default() };
         let server = Server::start(engine, &config).expect("server starts");
         let mut client = Client::connect(&server);
-        let mut out = vec![Vec::new(); 6];
+        let mut out = vec![Vec::new(); BURST];
+        let mut recv_into = |client: &mut Client| match client.recv() {
+            Response::Hits { id, hits, .. } => out[id as usize] = hits,
+            other => panic!("unexpected {other:?}"),
+        };
         if pipelined {
-            for qi in 0..6u64 {
-                client.send(&query(qi, w.queries.row(qi as usize), top_k, None));
+            for qi in 0..BURST {
+                client.send(&query(qi as u64, w.queries.row(qi), top_k(qi), None));
             }
-            for _ in 0..6 {
-                match client.recv() {
-                    Response::Hits { id, hits, .. } => out[id as usize] = hits,
-                    other => panic!("unexpected {other:?}"),
-                }
+            for _ in 0..BURST {
+                recv_into(&mut client);
             }
         } else {
-            for qi in 0..6u64 {
-                client.send(&query(qi, w.queries.row(qi as usize), top_k, None));
-                match client.recv() {
-                    Response::Hits { id, hits, .. } => out[id as usize] = hits,
-                    other => panic!("unexpected {other:?}"),
-                }
+            for qi in 0..BURST {
+                client.send(&query(qi as u64, w.queries.row(qi), top_k(qi), None));
+                recv_into(&mut client);
             }
         }
         server.shutdown();
@@ -380,6 +382,9 @@ fn batched_and_sequential_queries_agree_with_each_other() {
 
     let sequential = run(Duration::ZERO, false);
     let coalesced = run(Duration::from_millis(50), true);
+    for (qi, hits) in sequential.iter().enumerate() {
+        assert_eq!(hits.len(), top_k(qi).min(N_DB), "query {qi}");
+    }
     assert_eq!(sequential, coalesced);
 }
 

@@ -13,11 +13,13 @@
 //!
 //! The same operation stream is replayed against shard counts {1, 2, 4}:
 //! segment layout must never leak into results, commits must bump the
-//! generation by exactly one, and no-op removes must not commit.
+//! generation by exactly one, and no-op removes must not commit. Each step
+//! also runs one multi-query `search_batch` with mixed depths under 1, 2
+//! and 3 threads: batch composition and thread count must not leak either.
 
 use proptest::prelude::*;
 use uhscm_eval::{BitCodes, HashIndex};
-use uhscm_linalg::rng;
+use uhscm_linalg::{par, rng};
 use uhscm_serve::ShardedIndex;
 
 /// One step of an interleaving: `true` inserts `1 + (param % 3)` fresh
@@ -26,11 +28,17 @@ fn ops() -> impl Strategy<Value = Vec<(bool, u64)>> {
     prop::collection::vec((any::<bool>(), any::<u64>()), 1..24)
 }
 
-/// Ground truth: brute-force top-`n` over the live mirror in the offline
-/// ranker's `(distance, index)`-ascending order.
-fn linear_top_n(all: &BitCodes, alive: &[bool], q: &BitCodes, n: usize) -> Vec<(u32, u32)> {
+/// Ground truth: brute-force top-`n` for query `qi` over the live mirror in
+/// the offline ranker's `(distance, index)`-ascending order.
+fn linear_top_n(
+    all: &BitCodes,
+    alive: &[bool],
+    q: &BitCodes,
+    qi: usize,
+    n: usize,
+) -> Vec<(u32, u32)> {
     let mut v: Vec<(u32, u32)> =
-        (0..all.len()).filter(|&j| alive[j]).map(|j| (q.hamming(0, all, j), j as u32)).collect();
+        (0..all.len()).filter(|&j| alive[j]).map(|j| (q.hamming(qi, all, j), j as u32)).collect();
     v.sort_unstable();
     v.truncate(n);
     v
@@ -49,6 +57,9 @@ proptest! {
         let mut r = rng::seeded(seed);
         let initial = BitCodes::from_real(&rng::gauss_matrix(&mut r, n0, bits, 1.0));
         let q = BitCodes::from_real(&rng::gauss_matrix(&mut r, 1, bits, 1.0));
+        // The batch: `q` itself plus three more queries, one per depth.
+        let mut batch = q.clone();
+        batch.extend(&BitCodes::from_real(&rng::gauss_matrix(&mut r, 3, bits, 1.0)));
 
         let indexes: Vec<ShardedIndex> =
             [1usize, 2, 4].iter().map(|&s| ShardedIndex::new(&initial, s)).collect();
@@ -124,7 +135,7 @@ proptest! {
             // Every committed generation must rank bitwise-identically to
             // both oracles, at depths below, at, and beyond the live count.
             for n in [1usize, 3, all.len() + 2] {
-                let want = linear_top_n(&all, &alive, &q, n);
+                let want = linear_top_n(&all, &alive, &q, 0, n);
                 for (s, index) in indexes.iter().enumerate() {
                     let got = index.search(&q, 0, n);
                     prop_assert_eq!(got.as_slice(), want.as_slice(),
@@ -136,6 +147,23 @@ proptest! {
                     hash_oracle.knn(&q, 0, n).iter().map(|&(j, d)| (d, j)).collect();
                 prop_assert_eq!(&want[..hash_want.len()], hash_want.as_slice(),
                     "step {} n {}: vs HashIndex", step, n);
+            }
+
+            // One batch per step with depths 0, 1, the live count and more
+            // than the total, at every shard and thread count.
+            let depths = [0usize, 1, live, all.len() + 2];
+            for (s, index) in indexes.iter().enumerate() {
+                let snap = index.snapshot();
+                for threads in [1usize, 2, 3] {
+                    let got = par::with_threads(threads, || snap.search_batch(&batch, &depths));
+                    prop_assert_eq!(got.len(), depths.len());
+                    for (qi, &n) in depths.iter().enumerate() {
+                        let want = linear_top_n(&all, &alive, &batch, qi, n);
+                        prop_assert_eq!(got[qi].as_slice(), want.as_slice(),
+                            "step {} shards#{} threads {} query {}: batch vs linear scan",
+                            step, s, threads, qi);
+                    }
+                }
             }
         }
     }

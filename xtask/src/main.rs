@@ -51,8 +51,10 @@
 //!
 //! The `ci` command chains the full tier-1 gate: `cargo fmt --check`, the
 //! lint above (in-process, writing `results/lint.json`), `cargo build
-//! --release`, `cargo test`, and a cross-process smoke of the online
-//! retrieval service (start → query → drain, see [`smoke`]).
+//! --release`, `cargo test --workspace`, the kernel-regression gate,
+//! cross-process smokes of the online retrieval service and the segment
+//! store (see [`smoke`]), and the benchmark's smoke test
+//! (`perfbench/tests/smoke.rs`).
 
 mod allowlist;
 mod analysis;
@@ -139,22 +141,24 @@ fn usage() -> ExitCode {
          \x20 lint --write-budget   rewrite xtask/panic.budget, xtask/alloc.budget\n\
          \x20                       and xtask/taint.budget from the current counts\n\
          \x20 ci                    fmt-check + lint (writes results/lint.json and\n\
-         \x20                       BENCH_lint.json) + release build + tests +\n\
-         \x20                       kernel-regression gate + serve smoke + scale\n\
-         \x20                       smoke (the full tier-1 gate)"
+         \x20                       BENCH_lint.json) + release build + workspace\n\
+         \x20                       tests + kernel-regression gate + serve smoke +\n\
+         \x20                       scale smoke + benchmark smoke (the full gate)"
     );
     ExitCode::from(2)
 }
 
 /// The chained tier-1 gate: rustfmt check, the in-process linter (which
-/// also writes `results/lint.json`), the ROADMAP's verify commands
-/// (`cargo build --release && cargo test`), the kernel-regression gate
-/// (tuned kernels must stay bitwise identical to — and no slower than —
-/// their naive references), then the serve and scale smokes. Stops at the
-/// first failing step.
+/// also writes `results/lint.json`), `cargo build --release`, every
+/// workspace member's tests (`cargo test --workspace`), the
+/// kernel-regression gate (tuned kernels must stay bitwise identical to —
+/// and no slower than — their naive references), the serve and scale
+/// smokes, then the benchmark's smoke test, so a product API change that
+/// breaks the benchmark's build or its oracle checks fails here. Stops at
+/// the first failing step.
 fn ci() -> ExitCode {
     let root = workspace_root();
-    println!("ci [1/7]: cargo fmt --all -- --check");
+    println!("ci [1/8]: cargo fmt --all -- --check");
     if !run_step(
         "cargo fmt",
         std::process::Command::new("cargo")
@@ -163,7 +167,7 @@ fn ci() -> ExitCode {
     ) {
         return ExitCode::from(1);
     }
-    println!("ci [2/7]: lint (report: results/lint.json, timings: BENCH_lint.json)");
+    println!("ci [2/8]: lint (report: results/lint.json, timings: BENCH_lint.json)");
     let opts = LintOpts {
         write_baseline: false,
         write_budget: false,
@@ -176,21 +180,21 @@ fn ci() -> ExitCode {
     if lint_code != 0 {
         return ExitCode::from(lint_code);
     }
-    println!("ci [3/7]: cargo build --release");
+    println!("ci [3/8]: cargo build --release");
     if !run_step(
         "cargo build",
         std::process::Command::new("cargo").args(["build", "--release"]).current_dir(&root),
     ) {
         return ExitCode::from(1);
     }
-    println!("ci [4/7]: cargo test -q");
+    println!("ci [4/8]: cargo test -q --workspace");
     if !run_step(
         "cargo test",
-        std::process::Command::new("cargo").args(["test", "-q"]).current_dir(&root),
+        std::process::Command::new("cargo").args(["test", "-q", "--workspace"]).current_dir(&root),
     ) {
         return ExitCode::from(1);
     }
-    println!("ci [5/7]: kernel regression (tuned vs naive, bitwise + throughput floor)");
+    println!("ci [5/8]: kernel regression (tuned vs naive, bitwise + throughput floor)");
     if !run_step(
         "kernel_regression",
         std::process::Command::new("cargo")
@@ -199,14 +203,23 @@ fn ci() -> ExitCode {
     ) {
         return ExitCode::from(1);
     }
-    println!("ci [6/7]: serve smoke (start -> query -> drain)");
+    println!("ci [6/8]: serve smoke (start -> query -> drain)");
     if let Err(msg) = smoke::serve_smoke(&root) {
         eprintln!("ci: serve smoke failed: {msg}");
         return ExitCode::from(1);
     }
-    println!("ci [7/7]: scale smoke (stream-build 10k store -> info -> verify vs in-memory)");
+    println!("ci [7/8]: scale smoke (stream-build 10k store -> info -> verify vs in-memory)");
     if let Err(msg) = smoke::scale_smoke(&root) {
         eprintln!("ci: scale smoke failed: {msg}");
+        return ExitCode::from(1);
+    }
+    println!("ci [8/8]: benchmark smoke (perfbench, tiny workloads, oracle checks)");
+    if !run_step(
+        "perfbench smoke",
+        std::process::Command::new("cargo")
+            .args(["test", "--release", "--offline", "--manifest-path", "perfbench/Cargo.toml"])
+            .current_dir(&root),
+    ) {
         return ExitCode::from(1);
     }
     println!("ci: all steps passed");
