@@ -259,10 +259,9 @@ impl BitCodes {
 ///
 /// [`BitCodes::hamming`] builds two word slices per pair; fine for a single
 /// distance, wasteful for the database-sweep shape every retrieval path
-/// actually runs (`rank_top_n`, MAP/P@N/PR, `HashIndex` probing, the serve
-/// shards). The kernels here hoist the query words once and walk the
-/// database's packed `data` buffer directly, writing distances into a
-/// caller-provided `&mut [u32]`.
+/// actually runs (`rank_top_n`, MAP/P@N/PR, the serve shards). The kernels
+/// here hoist the query words once and walk the database's packed `data`
+/// buffer directly, writing distances into a caller-provided `&mut [u32]`.
 ///
 /// The inner loop is monomorphized per code width: dedicated instantiations
 /// for `words_per_code` ∈ {1, 2, 4} (bits ≤ 64, ≤ 128, ≤ 256 — every width
@@ -279,8 +278,8 @@ pub mod hamming_scan {
     use std::ops::Range;
 
     /// Block length used by callers that scan through a fixed stack buffer
-    /// instead of materializing all `n` distances (top-`n` heaps, radius
-    /// filters): 512 distances = 2 KB of stack.
+    /// instead of materializing all `n` distances (the ranker's top-`n` heap,
+    /// the serve shards' block walk): 512 distances = 2 KB of stack.
     pub const SCAN_BLOCK: usize = 512;
 
     /// Distances from query `qi` of `queries` to every code of `db`,
@@ -323,39 +322,6 @@ pub mod hamming_scan {
         }
     }
 
-    /// Visit `(database_index, distance)` for each index in `indices` —
-    /// the scattered-access twin of [`scan_into`] used by bucketed index
-    /// probes. The query words and the width dispatch are hoisted out of
-    /// the loop exactly like the contiguous scan.
-    ///
-    /// # Panics
-    /// Panics on code-length mismatch or an out-of-range index.
-    pub fn gather_each(
-        queries: &BitCodes,
-        qi: usize,
-        db: &BitCodes,
-        indices: &[u32],
-        visit: impl FnMut(u32, u32),
-    ) {
-        assert_eq!(queries.bits, db.bits, "code length mismatch");
-        let w = db.words_per_code;
-        if w == 0 {
-            let mut visit = visit;
-            for &j in indices {
-                assert!((j as usize) < db.n, "gather index out of range");
-                visit(j, 0);
-            }
-            return;
-        }
-        let q = queries.code(qi);
-        match w {
-            1 => gather_w::<1>(q, &db.data, indices, visit),
-            2 => gather_w::<2>(q, &db.data, indices, visit),
-            4 => gather_w::<4>(q, &db.data, indices, visit),
-            _ => gather_generic(q, &db.data, indices, visit),
-        }
-    }
-
     /// Width-monomorphized contiguous scan: the query lives in a `[u64; W]`
     /// register array and the XOR/popcount chain is fully unrolled.
     fn scan_w<const W: usize>(q: &[u64], data: &[u64], out: &mut [u32]) {
@@ -375,34 +341,6 @@ pub mod hamming_scan {
         let w = q.len();
         for (o, code) in out.iter_mut().zip(data.chunks_exact(w)) {
             *o = wide_hamming(q, code);
-        }
-    }
-
-    /// Width-monomorphized scattered gather.
-    fn gather_w<const W: usize>(
-        q: &[u64],
-        data: &[u64],
-        indices: &[u32],
-        mut visit: impl FnMut(u32, u32),
-    ) {
-        let mut qw = [0u64; W];
-        qw.copy_from_slice(q);
-        for &j in indices {
-            let code = &data[j as usize * W..j as usize * W + W];
-            let mut d = 0u32;
-            for t in 0..W {
-                d += (qw[t] ^ code[t]).count_ones();
-            }
-            visit(j, d);
-        }
-    }
-
-    /// Generic-width scattered gather.
-    fn gather_generic(q: &[u64], data: &[u64], indices: &[u32], mut visit: impl FnMut(u32, u32)) {
-        let w = q.len();
-        for &j in indices {
-            let code = &data[j as usize * w..(j as usize + 1) * w];
-            visit(j, wide_hamming(q, code));
         }
     }
 
@@ -601,12 +539,6 @@ mod tests {
                 let mut mid = vec![0u32; 20];
                 hamming_scan::scan_range_into(&queries, qi, &db, 9..29, &mut mid);
                 assert_eq!(mid, out[9..29], "range scan bits={bits} qi={qi}");
-
-                let indices = [0u32, 7, 13, 32];
-                let mut seen = Vec::new();
-                hamming_scan::gather_each(&queries, qi, &db, &indices, |j, d| seen.push((j, d)));
-                let want: Vec<(u32, u32)> = indices.iter().map(|&j| (j, out[j as usize])).collect();
-                assert_eq!(seen, want, "gather bits={bits} qi={qi}");
             }
         }
     }
@@ -654,8 +586,5 @@ mod tests {
         let mut dists = [7u32; 3];
         hamming_scan::scan_into(&zq, 1, &zdb, &mut dists);
         assert_eq!(dists, [0, 0, 0]);
-        let mut seen = Vec::new();
-        hamming_scan::gather_each(&zq, 0, &zdb, &[2, 0], |j, d| seen.push((j, d)));
-        assert_eq!(seen, vec![(2, 0), (0, 0)]);
     }
 }

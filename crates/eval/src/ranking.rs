@@ -104,17 +104,6 @@ impl HammingRanker {
         }
         heap.into_sorted_vec()
     }
-
-    /// Per-distance histogram of database points: `hist[d]` = how many
-    /// database codes lie at exactly distance `d`. Used by the hash-lookup
-    /// protocol (PR curves over Hamming radii).
-    pub fn distance_histogram(&self, queries: &BitCodes, qi: usize) -> Vec<u32> {
-        let mut hist = vec![0u32; self.db.bits() + 1];
-        for d in self.distances(queries, qi) {
-            hist[d as usize] += 1;
-        }
-        hist
-    }
 }
 
 /// Merge per-shard top-`n` candidate lists into the global top-`n`.
@@ -295,16 +284,6 @@ mod tests {
         let b = vec![(0u32, 1u32), (2, 2)];
         assert_eq!(merge_top_n(&[a, b], 3), vec![(0, 1), (0, 4), (2, 2)]);
         assert_eq!(merge_top_n(&[], 3), Vec::<(u32, u32)>::new());
-    }
-
-    #[test]
-    fn histogram_counts_all_points() {
-        let db = codes(&[vec![1.0, 1.0], vec![1.0, -1.0], vec![-1.0, -1.0], vec![-1.0, 1.0]]);
-        let q = codes(&[vec![1.0, 1.0]]);
-        let ranker = HammingRanker::new(db);
-        let hist = ranker.distance_histogram(&q, 0);
-        assert_eq!(hist, vec![1, 2, 1]);
-        assert_eq!(hist.iter().sum::<u32>(), 4);
     }
 
     #[test]

@@ -129,58 +129,6 @@ proptest! {
     }
 }
 
-mod index_props {
-    use proptest::prelude::*;
-    use uhscm_eval::{BitCodes, HashIndex};
-    use uhscm_linalg::rng;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The multi-probe index must agree exactly with a brute-force scan
-        /// for every radius and any prefix width.
-        #[test]
-        fn index_lookup_is_exact(
-            seed in any::<u64>(),
-            n in 2usize..120,
-            bits in 4usize..48,
-            prefix in 1usize..20,
-            radius in 0u32..48,
-        ) {
-            let mut r = rng::seeded(seed);
-            let db = BitCodes::from_real(&rng::gauss_matrix(&mut r, n, bits, 1.0));
-            let q = BitCodes::from_real(&rng::gauss_matrix(&mut r, 1, bits, 1.0));
-            let radius = radius.min(bits as u32);
-            let expected: Vec<(u32, u32)> = {
-                let mut v: Vec<(u32, u32)> = (0..n)
-                    .filter_map(|j| {
-                        let d = q.hamming(0, &db, j);
-                        (d <= radius).then_some((j as u32, d))
-                    })
-                    .collect();
-                v.sort_unstable_by_key(|&(j, d)| (d, j));
-                v
-            };
-            let index = HashIndex::build(db, prefix);
-            prop_assert_eq!(index.lookup(&q, 0, radius), expected);
-        }
-
-        /// knn returns exactly the k smallest distances (as a multiset).
-        #[test]
-        fn index_knn_is_exact(seed in any::<u64>(), n in 3usize..80, k in 1usize..10) {
-            let mut r = rng::seeded(seed);
-            let db = BitCodes::from_real(&rng::gauss_matrix(&mut r, n, 16, 1.0));
-            let q = BitCodes::from_real(&rng::gauss_matrix(&mut r, 1, 16, 1.0));
-            let k = k.min(n);
-            let mut all: Vec<u32> = (0..n).map(|j| q.hamming(0, &db, j)).collect();
-            all.sort_unstable();
-            let index = HashIndex::with_default_prefix(db);
-            let got: Vec<u32> = index.knn(&q, 0, k).iter().map(|&(_, d)| d).collect();
-            prop_assert_eq!(got, all[..k].to_vec());
-        }
-    }
-}
-
 proptest! {
     #[test]
     fn map_parallel_matches_serial_bitwise((db, q) in code_pair(), top_n in 1usize..12) {

@@ -111,14 +111,14 @@ struct ServeBench {
     overload: OverloadStats,
 }
 
-fn start_server(w: &synth::SynthWorkload, config: &ServeConfig) -> Server {
-    let engine = Engine::new(w.model.clone(), &w.db, config.shards).expect("engine config");
+fn start_server(w: &synth::SynthWorkload, config: &ServeConfig, shards: usize) -> Server {
+    let engine = Engine::new(w.model.clone(), &w.db, shards).expect("engine config");
     Server::start(engine, config).expect("server start")
 }
 
 fn latency_phase(w: &synth::SynthWorkload, requests: usize, shards: usize) -> LatencyStats {
-    let config = ServeConfig { shards, max_wait: Duration::ZERO, ..ServeConfig::default() };
-    let server = start_server(w, &config);
+    let config = ServeConfig { max_wait: Duration::ZERO, ..ServeConfig::default() };
+    let server = start_server(w, &config, shards);
     let mut client = Client::connect(&server);
     let n_queries = w.queries.rows();
     let mut rtts_us = Vec::with_capacity(requests);
@@ -151,13 +151,12 @@ fn throughput_phase(
 ) -> ThroughputStats {
     registry::reset();
     let config = ServeConfig {
-        shards,
         max_batch: burst.max(1),
         max_wait: Duration::from_millis(2),
         queue_cap: 4 * burst.max(1),
         ..ServeConfig::default()
     };
-    let server = start_server(w, &config);
+    let server = start_server(w, &config, shards);
     let mut client = Client::connect(&server);
     let n_queries = w.queries.rows();
     let t0 = Instant::now();
@@ -199,13 +198,12 @@ fn overload_phase(w: &synth::SynthWorkload, offered: usize, shards: usize) -> Ov
     // Tiny queue + long straggler window: most of a fast pipelined burst
     // must bounce off admission control.
     let config = ServeConfig {
-        shards,
         queue_cap: 2,
         max_batch: 2,
         max_wait: Duration::from_millis(100),
         ..ServeConfig::default()
     };
-    let server = start_server(w, &config);
+    let server = start_server(w, &config, shards);
     let mut client = Client::connect(&server);
     let n_queries = w.queries.rows();
     for i in 0..offered {

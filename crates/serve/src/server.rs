@@ -50,6 +50,7 @@ use crate::bundle::Bundle;
 use crate::pool::WorkerPool;
 use crate::protocol::{
     decode_request, encode_frame, encode_response, FrameReader, Reason, Request, Response,
+    MAX_FRAME,
 };
 use crate::shard::{Generation, InsertCommit, RemoveCommit, ShardedIndex};
 
@@ -88,8 +89,6 @@ impl From<io::Error> for ServeError {
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks an ephemeral port).
     pub addr: String,
-    /// Number of contiguous index shards (clamped to the database size).
-    pub shards: usize,
     /// Most queries coalesced into one forward pass.
     pub max_batch: usize,
     /// How long the batch worker waits for stragglers once it has one query.
@@ -109,7 +108,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            shards: 2,
             max_batch: 16,
             max_wait: Duration::from_millis(1),
             queue_cap: 256,
@@ -506,12 +504,35 @@ fn accept_loop(
 /// Serialize a response and queue its frame bytes to the connection's
 /// writer thread. Encoding happens on the producing thread; the actual
 /// socket write happens on the writer thread, so no lock is ever held
-/// across a blocking write. Send errors are ignored: the writer is gone
+/// across a blocking write. A reply too large for one frame (`hits` for a
+/// large `top_k`) is answered `bad_request` under the same id instead, so
+/// no request goes unanswered. Send errors are ignored: the writer is gone
 /// only when the client is, and the read loop will notice on its own.
 fn send(out: &mpsc::Sender<Vec<u8>>, resp: &Response) {
     let body = encode_response(resp);
-    if let Ok(frame) = encode_frame(&body) {
+    let frame = encode_frame(&body).or_else(|_| {
+        let refusal = Response::Error {
+            id: reply_id(resp),
+            reason: Reason::BadRequest,
+            detail: format!("reply of {} bytes exceeds the {MAX_FRAME}-byte cap", body.len()),
+        };
+        encode_frame(&encode_response(&refusal))
+    });
+    if let Ok(frame) = frame {
         let _ = out.send(frame);
+    }
+}
+
+/// The request id a response answers; `pong` carries none.
+fn reply_id(resp: &Response) -> u64 {
+    match resp {
+        Response::Hits { id, .. }
+        | Response::Inserted { id, .. }
+        | Response::Removed { id, .. }
+        | Response::Flushed { id, .. }
+        | Response::Reloaded { id, .. }
+        | Response::Error { id, .. } => *id,
+        Response::Pong => 0,
     }
 }
 
@@ -895,9 +916,37 @@ mod tests {
     ) -> Response {
         let (out, rx) = mpsc::channel::<Vec<u8>>();
         handle_frame(body, engine, queue, &out, writable, max_top_k);
-        let frame = rx.try_recv().expect("a reply was queued");
-        let body = String::from_utf8(frame[4..].to_vec()).expect("utf8 payload");
-        decode_response(&body).expect("decodable reply")
+        decode_frame(&rx.try_recv().expect("a reply was queued"))
+    }
+
+    /// Decode one queued reply frame.
+    fn decode_frame(frame: &[u8]) -> Response {
+        let body = std::str::from_utf8(&frame[4..]).expect("utf8 payload");
+        decode_response(body).expect("decodable reply")
+    }
+
+    #[test]
+    fn oversize_reply_is_answered_bad_request_under_the_same_id() {
+        let (out, rx) = mpsc::channel::<Vec<u8>>();
+        // 100,000 hits encode to ~1.2 MB, over the 1 MiB frame cap.
+        let hits: Vec<(u32, u32)> = (0..100_000u32).map(|j| (j % 65, j)).collect();
+        let big = Response::Hits { id: 9, hits, generation: 3, bundle: 1 };
+        let size = encode_response(&big).len();
+        assert!(size > MAX_FRAME, "{size}");
+        send(&out, &big);
+        match decode_frame(&rx.try_recv().expect("an error reply was queued")) {
+            Response::Error { id: 9, reason: Reason::BadRequest, detail } => {
+                assert!(detail.contains(&format!("{size} bytes")), "{detail}");
+                assert!(detail.contains(&MAX_FRAME.to_string()), "{detail}");
+            }
+            other => panic!("expected a bad_request error for id 9, got {other:?}"),
+        }
+
+        // A reply under the cap still arrives as `hits`.
+        let small = Response::Hits { id: 10, hits: vec![(0, 4), (2, 1)], generation: 3, bundle: 1 };
+        send(&out, &small);
+        assert_eq!(decode_frame(&rx.try_recv().expect("a hits reply was queued")), small);
+        assert!(rx.try_recv().is_err(), "one frame per reply");
     }
 
     #[test]

@@ -69,7 +69,6 @@ fn online_hits_are_bitwise_identical_to_the_offline_oracle_at_every_shard_count(
         assert_eq!(engine.db_len(), N_DB);
         assert_eq!(engine.bits(), BITS);
         let config = ServeConfig {
-            shards,
             // Generous straggler window: the pipelined burst below lands in
             // few (usually one) genuinely multi-query batches.
             max_wait: Duration::from_millis(50),

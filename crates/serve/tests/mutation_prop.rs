@@ -1,15 +1,10 @@
 //! Property test for the generation-swapped [`ShardedIndex`] under
-//! arbitrary insert/remove/query interleavings, seeded from the
-//! `HashIndex` oracle test in `crates/eval/tests/index_prop.rs`.
+//! arbitrary insert/remove/query interleavings.
 //!
-//! Two independent oracles pin each committed generation:
-//!
-//! * a **linear scan** over a mirror of everything ever inserted plus a
-//!   liveness flag — ground truth for the `(distance, index)`-ascending
-//!   top-`n` contract;
-//! * the existing [`HashIndex`] (multi-probe buckets + tombstones), driven
-//!   through the same interleaving — two unrelated index structures must
-//!   agree bit-for-bit on every prefix of the ranking.
+//! The oracle is a **linear scan** over a mirror of everything ever
+//! inserted plus a liveness flag — ground truth for the
+//! `(distance, index)`-ascending top-`n` contract of every committed
+//! generation.
 //!
 //! The same operation stream is replayed against shard counts {1, 2, 4}:
 //! segment layout must never leak into results, commits must bump the
@@ -18,7 +13,7 @@
 //! and 3 threads: batch composition and thread count must not leak either.
 
 use proptest::prelude::*;
-use uhscm_eval::{BitCodes, HashIndex};
+use uhscm_eval::BitCodes;
 use uhscm_linalg::{par, rng};
 use uhscm_serve::ShardedIndex;
 
@@ -48,7 +43,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn sharded_mutations_match_linear_scan_and_hash_index_oracles(
+    fn sharded_mutations_match_linear_scan_oracle(
         seed in any::<u64>(),
         n0 in 1usize..24,
         bits in 4usize..24,
@@ -68,7 +63,6 @@ proptest! {
         let genesis_segments: Vec<usize> =
             [1usize, 2, 4].iter().map(|&s| s.min(initial.len())).collect();
         let mut inserts_done = 0usize;
-        let mut hash_oracle = HashIndex::build(initial.clone(), 4);
         let mut all = initial; // mirror of everything ever inserted
         let mut alive = vec![true; all.len()];
         let mut expected_gen = 0u64;
@@ -86,7 +80,6 @@ proptest! {
                         "step {} shards#{}: insert offset", step, s);
                     prop_assert_eq!(commit.count, fresh.len());
                 }
-                prop_assert_eq!(hash_oracle.insert(&fresh), all.len());
                 all.extend(&fresh);
                 alive.resize(all.len(), true);
                 inserts_done += 1;
@@ -110,7 +103,6 @@ proptest! {
                     prop_assert!(!again.removed, "step {} shards#{}: double remove", step, s);
                     prop_assert_eq!(again.generation, expected_gen);
                 }
-                prop_assert_eq!(hash_oracle.remove(target), was_alive);
                 alive[target] = false;
             }
 
@@ -130,10 +122,9 @@ proptest! {
                         step, s, j);
                 }
             }
-            prop_assert_eq!(hash_oracle.live_len(), live);
 
             // Every committed generation must rank bitwise-identically to
-            // both oracles, at depths below, at, and beyond the live count.
+            // the oracle, at depths below, at, and beyond the live count.
             for n in [1usize, 3, all.len() + 2] {
                 let want = linear_top_n(&all, &alive, &q, 0, n);
                 for (s, index) in indexes.iter().enumerate() {
@@ -141,12 +132,6 @@ proptest! {
                     prop_assert_eq!(got.as_slice(), want.as_slice(),
                         "step {} shards#{} n {}: vs linear scan", step, s, n);
                 }
-                // HashIndex::knn emits (index, distance) and clamps to the
-                // live count; remap to the serve-side (distance, index).
-                let hash_want: Vec<(u32, u32)> =
-                    hash_oracle.knn(&q, 0, n).iter().map(|&(j, d)| (d, j)).collect();
-                prop_assert_eq!(&want[..hash_want.len()], hash_want.as_slice(),
-                    "step {} n {}: vs HashIndex", step, n);
             }
 
             // One batch per step with depths 0, 1, the live count and more

@@ -105,7 +105,6 @@ fn run_swap_boundary(shards: usize, bundle_dir: &Path, alt: &Mlp) {
     let engine = Engine::with_vocab(w.model.clone(), vec!["seed-term".to_string()], &w.db, shards)
         .expect("widths match");
     let config = ServeConfig {
-        shards,
         // A small straggler window keeps query batches multi-query while
         // mutations commit between them.
         max_wait: Duration::from_millis(5),

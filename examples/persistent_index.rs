@@ -1,6 +1,6 @@
 //! Train once, serve forever: persist the hashing network and the database
-//! codes, reload them in a fresh "process", and serve multi-probe lookups
-//! from the bucketed Hamming index.
+//! codes, reload them in a fresh "process", and answer k-NN queries from the
+//! sharded Hamming index the server uses.
 //!
 //! ```sh
 //! cargo run --release --example persistent_index
@@ -10,8 +10,9 @@ use std::io::Cursor;
 use uhscm::core::pipeline::{Pipeline, SimilaritySource};
 use uhscm::core::UhscmConfig;
 use uhscm::data::{Dataset, DatasetConfig, DatasetKind};
-use uhscm::eval::{BitCodes, HashIndex};
+use uhscm::eval::BitCodes;
 use uhscm::nn::Mlp;
+use uhscm::serve::ShardedIndex;
 
 fn main() {
     // --- Offline: train and persist --------------------------------------
@@ -40,31 +41,18 @@ fn main() {
     // --- Online: reload and serve ----------------------------------------
     let served_net = Mlp::load(&mut Cursor::new(&net_blob)).expect("reload network");
     let served_codes = BitCodes::load(&mut Cursor::new(&code_blob)).expect("reload codes");
-    let index = HashIndex::with_default_prefix(served_codes);
-    println!(
-        "index online: {} codes, {}-bit bucketing prefix, {} buckets",
-        index.len(),
-        index.prefix_bits(),
-        index.bucket_count()
-    );
+    let index = ShardedIndex::new(&served_codes, 2);
+    println!("index online: {} codes in {} shards", index.len(), index.num_shards());
 
-    // Encode incoming queries with the reloaded network and probe.
+    // Encode incoming queries with the reloaded network and search.
     let query_codes =
         BitCodes::from_real(&served_net.infer(&pipeline.features_of(&dataset.split.query)));
     let class_of = |item: usize| dataset.class_names[dataset.labels[item][0]].as_str();
     for qi in 0..3 {
         let q_item = dataset.split.query[qi];
-        // Radius lookup (hash-lookup protocol) …
-        let within = index.lookup(&query_codes, qi, 10);
-        // … and k-NN via expanding rings.
-        let knn = index.knn(&query_codes, qi, 5);
+        let knn = index.search(&query_codes, qi, 5);
         let knn_classes: Vec<&str> =
-            knn.iter().map(|&(j, _)| class_of(dataset.split.database[j as usize])).collect();
-        println!(
-            "query[{qi}] ('{}'): {} candidates within radius 10; 5-NN classes {:?}",
-            class_of(q_item),
-            within.len(),
-            knn_classes
-        );
+            knn.iter().map(|&(_, j)| class_of(dataset.split.database[j as usize])).collect();
+        println!("query[{qi}] ('{}'): 5-NN classes {:?}", class_of(q_item), knn_classes);
     }
 }

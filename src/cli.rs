@@ -96,7 +96,7 @@ impl Default for ServeArgs {
             bundle: PathBuf::from("uhscm-bundle"),
             db_store: None,
             addr: config.addr,
-            shards: config.shards,
+            shards: 2,
             max_batch: config.max_batch,
             max_wait_ms: config.max_wait.as_millis() as u64,
             queue_cap: config.queue_cap,
@@ -658,7 +658,6 @@ fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
     let (num_shards, db_len, db_bits) = (engine.num_shards(), engine.db_len(), engine.bits());
     let config = uhscm_serve::ServeConfig {
         addr: args.addr.clone(),
-        shards: args.shards,
         max_batch: args.max_batch,
         max_wait: std::time::Duration::from_millis(args.max_wait_ms),
         queue_cap: args.queue_cap,

@@ -10,7 +10,7 @@
 //! | [`nn`] | `uhscm-nn` | MLP runtime, SGD, backprop, persistence |
 //! | [`data`] | `uhscm-data` | concept vocabularies, synthetic datasets |
 //! | [`vlp`] | `uhscm-vlp` | simulated CLIP + CNN feature extractor |
-//! | [`eval`] | `uhscm-eval` | bit codes, Hamming ranking, MAP/P@N/PR, t-SNE, hash index |
+//! | [`eval`] | `uhscm-eval` | bit codes, Hamming ranking, MAP/P@N/PR, t-SNE |
 //! | [`core`] | `uhscm-core` | concept mining, denoising, similarity matrix, hashing loss, trainer |
 //! | [`baselines`] | `uhscm-baselines` | LSH, SH, ITQ, AGH, SSDH, GH, BGAN, MLS³RDUH, CIB, UTH |
 //! | [`serve`] | `uhscm-serve` | online retrieval: sharded index, batched encoding, admission control |

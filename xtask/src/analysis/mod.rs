@@ -47,7 +47,7 @@ use std::time::Instant;
 pub enum RootFns {
     /// Every non-test `pub fn` in the file.
     PubFns,
-    /// Only the named functions (e.g. the probe path of an index).
+    /// Only the named functions (e.g. the search and write path of the shards).
     Named(&'static [&'static str]),
 }
 
@@ -59,10 +59,10 @@ pub struct RootSpec {
 }
 
 /// The declared hot paths of the reproduction: training pipeline, trainer
-/// internals, retrieval metrics, the index probe path, the parallel
-/// fan-out runtime, the serve read/write path (generation-swapped
-/// shards plus the batch worker and connection dispatch), and the
-/// segment-store reader/writer streamed by out-of-core builds.
+/// internals, retrieval metrics, the parallel fan-out runtime, the serve
+/// read/write path (generation-swapped shards plus the batch worker and
+/// connection dispatch), and the segment-store reader/writer streamed by
+/// out-of-core builds.
 pub const ROOTS: &[RootSpec] = &[
     RootSpec {
         name: "uhscm_core::pipeline",
@@ -78,11 +78,6 @@ pub const ROOTS: &[RootSpec] = &[
         name: "uhscm_eval::metrics",
         path: "crates/eval/src/metrics.rs",
         fns: RootFns::PubFns,
-    },
-    RootSpec {
-        name: "uhscm_eval::index",
-        path: "crates/eval/src/index.rs",
-        fns: RootFns::Named(&["build", "insert", "remove", "lookup", "knn"]),
     },
     RootSpec { name: "uhscm_linalg::par", path: "crates/linalg/src/par.rs", fns: RootFns::PubFns },
     RootSpec {

@@ -9,8 +9,8 @@
 //! never missed) at the cost of some false positives.
 //!
 //! Node identity is `crate::module::[Type::]fn`. Crate/module paths are
-//! derived from file paths (`crates/eval/src/index.rs` →
-//! `uhscm_eval::index`); inline `mod`s extend the path. Test files and
+//! derived from file paths (`crates/eval/src/ranking.rs` →
+//! `uhscm_eval::ranking`); inline `mod`s extend the path. Test files and
 //! binaries get synthetic crate names (`tests_lint_gate`, `core_test_x`)
 //! so cross-crate liveness checks can tell them apart.
 
@@ -306,8 +306,8 @@ fn resolve_plain(
 
 /// Resolve a qualified `a::b::f()` call. The prefix must appear as an
 /// ordered subsequence of the candidate's chain `crate::modules::[Type]`,
-/// which tolerates re-exports (`uhscm_eval::HashIndex::build` matches the
-/// item defined in `uhscm_eval::index::HashIndex`).
+/// which tolerates re-exports (`uhscm_eval::HammingRanker::new` matches the
+/// item defined in `uhscm_eval::ranking::HammingRanker`).
 fn resolve_qualified(
     ws: &Workspace,
     nodes: &[Node],
@@ -336,7 +336,7 @@ fn resolve_qualified(
         }
         _ => {}
     }
-    // Expand a `use`-bound first segment (`use uhscm_eval::index; index::f()`).
+    // Expand a `use`-bound first segment (`use uhscm_eval::ranking; ranking::f()`).
     if let Some(full) = prefix.first().and_then(|s| uses.get(s.as_str())) {
         let mut expanded: Vec<String> = full.to_vec();
         expanded.extend(prefix[1..].iter().cloned());
@@ -414,7 +414,7 @@ mod tests {
     #[test]
     fn crate_and_module_mapping() {
         let table: &[(&str, (&str, &[&str]))] = &[
-            ("crates/eval/src/index.rs", ("uhscm_eval", &["index"])),
+            ("crates/eval/src/ranking.rs", ("uhscm_eval", &["ranking"])),
             ("crates/core/src/lib.rs", ("uhscm_core", &[])),
             ("crates/obs/src/trace.rs", ("uhscm_obs", &["trace"])),
             ("crates/bench/src/bin/table1.rs", ("bench_bin_table1", &[])),
