@@ -36,10 +36,12 @@ impl Json {
         }
     }
 
-    /// Numeric value as `u64` when it is a non-negative integer.
+    /// Numeric value as `u64` when it is an integer below 2^53. Numbers are
+    /// held as `f64`, so a larger one (outside RFC 8259 §6's interoperable
+    /// range) may already have been rounded to a neighbour: it is refused.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && *v <= u64::MAX as f64 => {
+            Json::Num(v) if *v >= 0.0 && *v < (1u64 << 53) as f64 => {
                 let u = *v as u64;
                 // Integer check without an exact float compare.
                 if (u as f64 - *v).abs() < 1e-9 {
@@ -353,6 +355,8 @@ mod tests {
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(42.0).as_u64(), Some(42));
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), None, "2^53 may be rounded");
+        assert_eq!(Json::Num(9_007_199_254_740_991.0).as_u64(), Some(9_007_199_254_740_991));
     }
 
     #[test]

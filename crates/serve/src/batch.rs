@@ -1,10 +1,11 @@
 //! Admission control and batch formation.
 //!
 //! Connection handlers push [`PendingQuery`]s into a bounded
-//! [`AdmissionQueue`]; a single batch worker pops them in arrival order,
-//! coalescing up to `max_batch` queries per tick (waiting at most
-//! `max_wait` for stragglers once the first query is in hand). The bound is
-//! the overload valve: when the queue is full, `submit` hands the query
+//! [`AdmissionQueue`]; a single batch worker pops them in arrival order, up
+//! to `max_batch` at a time. Batching is work-conserving: the worker parks
+//! only while the queue is empty and never waits for a batch to fill, so a
+//! batch is whatever queued while the previous one ran. The bound is the
+//! overload valve: when the queue is full, `submit` hands the query
 //! straight back with [`SubmitError::Overloaded`] so the caller can answer
 //! `overloaded` immediately instead of letting latency grow without limit.
 //!
@@ -16,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use uhscm_obs::obs_gauge;
 
@@ -35,16 +36,6 @@ pub struct PendingQuery {
     /// worker answers `deadline_exceeded` without encoding.
     pub deadline: Option<Instant>,
     pub reply: Reply,
-}
-
-/// Batch formation knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchPolicy {
-    /// Most queries coalesced into one forward pass.
-    pub max_batch: usize,
-    /// Once one query is in hand, how long to wait for more before running
-    /// a short batch.
-    pub max_wait: Duration,
 }
 
 /// Why a submission was refused. The query itself is handed back alongside
@@ -128,21 +119,15 @@ impl AdmissionQueue {
         recover(&self.state).open
     }
 
-    /// Block until a batch is available and pop it in arrival order.
+    /// Block until a query is queued, then pop up to `max_batch` (clamped
+    /// to ≥ 1) queued queries in arrival order.
     ///
-    /// Waits for the first query, then keeps collecting until the batch is
-    /// full, `max_wait` has elapsed, or the queue closes (a closing queue
-    /// flushes immediately — drain should not dawdle). Returns `None` once
-    /// the queue is closed *and* empty: the drain is complete and the
-    /// worker should exit.
-    pub fn next_batch(&self, policy: &BatchPolicy) -> Option<Vec<PendingQuery>> {
-        let max_batch = policy.max_batch.max(1);
+    /// Never waits for a batch to fill: the worker sleeps only while the
+    /// queue is empty. Returns `None` once the queue is closed *and* empty:
+    /// the drain is complete and the worker should exit.
+    pub fn next_batch(&self, max_batch: usize) -> Option<Vec<PendingQuery>> {
         let mut state = recover(&self.state);
-        // Phase 1: wait for work.
-        loop {
-            if !state.queue.is_empty() {
-                break;
-            }
+        while state.queue.is_empty() {
             if !state.open {
                 return None;
             }
@@ -151,33 +136,9 @@ impl AdmissionQueue {
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-        // Phase 2: give stragglers up to `max_wait` to join the batch.
-        let flush_at = Instant::now() + policy.max_wait;
-        while state.queue.len() < max_batch && state.open {
-            let now = Instant::now();
-            let Some(remaining) = flush_at.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            let (guard, timeout) = match self.ready.wait_timeout(state, remaining) {
-                Ok(pair) => pair,
-                Err(poisoned) => {
-                    let pair = poisoned.into_inner();
-                    (pair.0, pair.1)
-                }
-            };
-            state = guard;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-        let take = state.queue.len().min(max_batch);
+        let take = state.queue.len().min(max_batch.max(1));
         let batch: Vec<PendingQuery> = state.queue.drain(..take).collect();
         obs_gauge!("serve.queue.depth", state.queue.len() as f64);
-        if !state.queue.is_empty() {
-            // Leftovers beyond max_batch: wake the worker again promptly.
-            self.ready.notify_one();
-        }
         Some(batch)
     }
 }
@@ -186,7 +147,8 @@ impl AdmissionQueue {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     fn query(id: u64) -> PendingQuery {
         PendingQuery {
@@ -198,15 +160,13 @@ mod tests {
         }
     }
 
-    const FLUSH_NOW: BatchPolicy = BatchPolicy { max_batch: 8, max_wait: Duration::ZERO };
-
     #[test]
     fn batches_preserve_arrival_order() {
         let q = AdmissionQueue::new(16);
         for id in 0..5 {
             q.submit(query(id)).map_err(|(_, e)| e).expect("under capacity");
         }
-        let batch = q.next_batch(&FLUSH_NOW).expect("queue open");
+        let batch = q.next_batch(8).expect("queue open");
         let ids: Vec<u64> = batch.iter().map(|p| p.id).collect();
         assert_eq!(ids, [0, 1, 2, 3, 4]);
     }
@@ -217,13 +177,41 @@ mod tests {
         for id in 0..5 {
             q.submit(query(id)).map_err(|(_, e)| e).expect("under capacity");
         }
-        let policy = BatchPolicy { max_batch: 3, max_wait: Duration::ZERO };
-        let first = q.next_batch(&policy).expect("open");
+        let first = q.next_batch(3).expect("open");
         assert_eq!(first.len(), 3);
         assert_eq!(q.depth(), 2);
-        let second = q.next_batch(&policy).expect("open");
+        let second = q.next_batch(3).expect("open");
         let ids: Vec<u64> = second.iter().map(|p| p.id).collect();
         assert_eq!(ids, [3, 4]);
+    }
+
+    #[test]
+    fn parked_worker_wakes_on_submit_and_on_close() {
+        let q = Arc::new(AdmissionQueue::new(4));
+        let (tx, rx) = mpsc::channel();
+        let mut pool = crate::pool::WorkerPool::new();
+        {
+            let q = Arc::clone(&q);
+            pool.spawn("parked", move || {
+                for _ in 0..2 {
+                    let ids = q.next_batch(8).map(|b| b.iter().map(|p| p.id).collect::<Vec<_>>());
+                    if tx.send(ids).is_err() {
+                        return;
+                    }
+                }
+            })
+            .expect("spawn");
+        }
+        // A missed wake fails on a timeout instead of hanging the suite.
+        let wait = Duration::from_secs(5);
+        let parked = Duration::from_millis(50);
+        assert!(rx.recv_timeout(parked).is_err(), "returned from an empty open queue");
+        q.submit(query(7)).map_err(|(_, e)| e).expect("open");
+        assert_eq!(rx.recv_timeout(wait).expect("submit wakes the worker"), Some(vec![7]));
+        assert!(rx.recv_timeout(parked).is_err(), "returned from an empty open queue");
+        q.close();
+        assert_eq!(rx.recv_timeout(wait).expect("close wakes the worker"), None);
+        pool.join_all();
     }
 
     #[test]
@@ -250,10 +238,10 @@ mod tests {
             other => panic!("expected draining, got {:?}", other.map(|()| ()).map_err(|(_, e)| e)),
         }
         // Admitted work still comes out...
-        let batch = q.next_batch(&FLUSH_NOW).expect("drain");
+        let batch = q.next_batch(8).expect("drain");
         assert_eq!(batch.len(), 1);
         // ...and only then does the queue report drain-complete.
-        assert!(q.next_batch(&FLUSH_NOW).is_none());
+        assert!(q.next_batch(8).is_none());
     }
 
     #[test]
@@ -283,11 +271,11 @@ mod tests {
         // The mutex is now poisoned. Nothing below may panic.
         assert_eq!(q.depth(), 1);
         q.submit(query(1)).map_err(|(_, e)| e).expect("poisoned queue still admits");
-        let batch = q.next_batch(&FLUSH_NOW).expect("open");
+        let batch = q.next_batch(8).expect("open");
         let ids: Vec<u64> = batch.iter().map(|p| p.id).collect();
         assert_eq!(ids, [0, 1], "arrival order survives the poisoning");
         q.close();
-        assert!(q.next_batch(&FLUSH_NOW).is_none(), "drain still completes");
+        assert!(q.next_batch(8).is_none(), "drain still completes");
     }
 
     #[test]
@@ -305,7 +293,7 @@ mod tests {
             }),
         };
         q.submit(p).map_err(|(_, e)| e).expect("open");
-        let batch = q.next_batch(&FLUSH_NOW).expect("open");
+        let batch = q.next_batch(8).expect("open");
         for p in batch {
             (p.reply)(Response::Pong);
         }

@@ -4,12 +4,13 @@
 //!
 //! Three phases:
 //!
-//! 1. **latency** — closed loop, one request in flight: per-request RTT
-//!    percentiles (p50/p95/p99) under no queueing.
+//! 1. **latency** — closed loop, one request in flight, default server:
+//!    per-request RTT percentiles (p50/p95/p99) under no queueing.
 //! 2. **throughput** — pipelined bursts: sustained requests/second and the
 //!    batch-size distribution the coalescing actually achieved.
-//! 3. **overload** — a tiny admission queue and a long straggler window:
-//!    proves shedding engages (shed responses, zero hangs, clean drain).
+//! 3. **overload** — a one-slot admission queue drained one query per
+//!    batch: a pipelined burst outruns the worker, which proves shedding
+//!    engages (shed responses, zero hangs, clean drain).
 //!
 //! Usage: `loadgen [requests] [burst]` (defaults 200 and 32).
 
@@ -117,8 +118,7 @@ fn start_server(w: &synth::SynthWorkload, config: &ServeConfig, shards: usize) -
 }
 
 fn latency_phase(w: &synth::SynthWorkload, requests: usize, shards: usize) -> LatencyStats {
-    let config = ServeConfig { max_wait: Duration::ZERO, ..ServeConfig::default() };
-    let server = start_server(w, &config, shards);
+    let server = start_server(w, &ServeConfig::default(), shards);
     let mut client = Client::connect(&server);
     let n_queries = w.queries.rows();
     let mut rtts_us = Vec::with_capacity(requests);
@@ -152,7 +152,6 @@ fn throughput_phase(
     registry::reset();
     let config = ServeConfig {
         max_batch: burst.max(1),
-        max_wait: Duration::from_millis(2),
         queue_cap: 4 * burst.max(1),
         ..ServeConfig::default()
     };
@@ -195,14 +194,10 @@ fn throughput_phase(
 
 fn overload_phase(w: &synth::SynthWorkload, offered: usize, shards: usize) -> OverloadStats {
     registry::reset();
-    // Tiny queue + long straggler window: most of a fast pipelined burst
-    // must bounce off admission control.
-    let config = ServeConfig {
-        queue_cap: 2,
-        max_batch: 2,
-        max_wait: Duration::from_millis(100),
-        ..ServeConfig::default()
-    };
+    // One slot, one query per batch: the connection thread admits a burst
+    // faster than the worker encodes and searches, so part of it must
+    // bounce off admission control.
+    let config = ServeConfig { queue_cap: 1, max_batch: 1, ..ServeConfig::default() };
     let server = start_server(w, &config, shards);
     let mut client = Client::connect(&server);
     let n_queries = w.queries.rows();
@@ -246,7 +241,7 @@ fn main() {
     let latency = latency_phase(&w, requests, shards);
     eprintln!("loadgen: throughput phase ({requests} requests, bursts of {burst})");
     let throughput = throughput_phase(&w, requests, burst, shards);
-    eprintln!("loadgen: overload phase (burst of {} into a 2-slot queue)", 4 * burst);
+    eprintln!("loadgen: overload phase (burst of {} into a 1-slot queue)", 4 * burst);
     let overload = overload_phase(&w, 4 * burst, shards);
 
     let report = ServeBench {

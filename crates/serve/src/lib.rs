@@ -18,9 +18,9 @@
 //! * [`bundle`] — the hot-reloadable serving [`Bundle`] (model + concept
 //!   vocabulary), swapped as one atomic unit so a query never encodes with
 //!   a torn pair.
-//! * [`batch`] — bounded [`AdmissionQueue`] with load shedding, and the
-//!   batch-formation policy that coalesces concurrent queries into one
-//!   forward pass.
+//! * [`batch`] — bounded [`AdmissionQueue`] with load shedding; the batch
+//!   worker takes whatever queued while it was busy, up to `max_batch`, as
+//!   one forward pass, and never waits for a batch to fill.
 //! * [`server`] — the accept/connection/batch-worker thread layout (all
 //!   threads via [`pool::WorkerPool`]) with per-request deadlines, a
 //!   synchronous write path, and graceful drain (admitted mutations commit;
@@ -42,7 +42,7 @@ pub mod server;
 pub mod shard;
 pub mod synth;
 
-pub use batch::{AdmissionQueue, BatchPolicy, PendingQuery, SubmitError};
+pub use batch::{AdmissionQueue, PendingQuery, SubmitError};
 pub use bundle::Bundle;
 pub use protocol::{
     decode_request, decode_response, encode_frame, encode_request, encode_response,

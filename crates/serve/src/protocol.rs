@@ -413,6 +413,14 @@ fn msg_type(v: &Json) -> Result<&str, String> {
     v.get("type").and_then(Json::as_str).ok_or_else(|| "missing 'type' field".to_string())
 }
 
+/// Member `field` of `v` as an integer in [`Json::as_u64`]'s exact range:
+/// a larger id would come back rounded onto another request's.
+fn uint(v: &Json, field: &str) -> Result<u64, String> {
+    v.get(field)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("'{field}' must be an integer from 0 to 2^53 - 1"))
+}
+
 /// Decode a request frame body; the error string is a human-readable
 /// `detail` the server echoes back in a `bad_request` response.
 ///
@@ -424,9 +432,8 @@ pub fn decode_request(body: &str) -> Result<Request, String> {
     match msg_type(&v)? {
         "ping" => Ok(Request::Ping),
         "query" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
-            let top_k =
-                v.get("top_k").and_then(Json::as_u64).ok_or("missing numeric 'top_k'")? as usize;
+            let id = uint(&v, "id")?;
+            let top_k = uint(&v, "top_k")? as usize;
             let features = v
                 .get("features")
                 .and_then(Json::as_arr)
@@ -436,12 +443,12 @@ pub fn decode_request(body: &str) -> Result<Request, String> {
                 .collect::<Result<Vec<f64>, &str>>()?;
             let deadline_ms = match v.get("deadline_ms") {
                 None => None,
-                Some(d) => Some(d.as_u64().ok_or("non-integer 'deadline_ms'")?),
+                Some(_) => Some(uint(&v, "deadline_ms")?),
             };
             Ok(Request::Query(QueryRequest { id, features, top_k, deadline_ms }))
         }
         "insert" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
+            let id = uint(&v, "id")?;
             let rows = v
                 .get("rows")
                 .and_then(Json::as_arr)
@@ -460,8 +467,8 @@ pub fn decode_request(body: &str) -> Result<Request, String> {
             // disagreement means the frame was truncated or forged, and
             // silently trusting either number would commit the wrong
             // batch under the client's id.
-            if let Some(c) = v.get("count") {
-                let declared = c.as_u64().ok_or("non-integer 'count'")?;
+            if v.get("count").is_some() {
+                let declared = uint(&v, "count")?;
                 if u64::try_from(rows.len()).ok() != Some(declared) {
                     return Err(format!(
                         "insert declared {declared} rows but the payload has {}",
@@ -472,16 +479,16 @@ pub fn decode_request(body: &str) -> Result<Request, String> {
             Ok(Request::Insert { id, rows })
         }
         "remove" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
-            let index = v.get("index").and_then(Json::as_u64).ok_or("missing numeric 'index'")?;
+            let id = uint(&v, "id")?;
+            let index = uint(&v, "index")?;
             Ok(Request::Remove { id, index })
         }
         "flush" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
+            let id = uint(&v, "id")?;
             Ok(Request::Flush { id })
         }
         "reload" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
+            let id = uint(&v, "id")?;
             let path =
                 v.get("path").and_then(Json::as_str).ok_or("missing 'path' string")?.to_string();
             Ok(Request::Reload { id, path })
@@ -744,5 +751,14 @@ mod tests {
         assert!(decode_request("{\"type\":\"nope\"}").expect_err("type").contains("nope"));
         let missing = decode_request("{\"type\":\"query\",\"id\":1,\"top_k\":3}");
         assert!(missing.expect_err("features").contains("features"));
+        // 2^53 + 1 would parse as 2^53 and 2^64 would saturate: both are
+        // refused, naming the field and the limit.
+        for (field, body) in [
+            ("'id'", r#"{"type":"query","id":9007199254740993,"top_k":3,"features":[0.5]}"#),
+            ("'top_k'", r#"{"type":"query","id":1,"top_k":18446744073709551616,"features":[0.5]}"#),
+        ] {
+            let detail = decode_request(body).expect_err("past 2^53");
+            assert!(detail.contains(field) && detail.contains("2^53"), "{detail}");
+        }
     }
 }

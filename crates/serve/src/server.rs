@@ -11,14 +11,14 @@
 //!          └─ (one per conn: sole owner of the write half)
 //! ```
 //!
-//! Each connection thread reads frames with a short socket timeout so it
-//! can poll the drain flag between reads. Replies are serialized to frame
-//! bytes by whichever thread produced them (connection thread for protocol
-//! errors, batch worker for answers) and queued to a per-connection writer
-//! thread that owns the socket's write half outright — responses stay
-//! well-framed under pipelining without ever holding a lock across a
-//! socket write, and a reply can still land after the read loop has
-//! exited. The writer exits once every sender (the read loop plus any
+//! Each connection thread checks the drain flag before every read, and
+//! reads with a short socket timeout so an idle connection still sees it.
+//! Replies are serialized to frame bytes by whichever thread produced them
+//! (connection thread for protocol errors, batch worker for answers) and
+//! queued to a per-connection writer thread that owns the socket's write
+//! half outright — responses stay well-framed under pipelining without
+//! ever holding a lock across a socket write, and a reply can still land
+//! after the read loop has exited. The writer exits once every sender (the read loop plus any
 //! in-flight reply closures) is gone. Shutdown: set the drain flag, close
 //! the queue (new submits answer `draining`, admitted work still runs),
 //! poke the acceptor awake, then join every thread.
@@ -45,7 +45,7 @@ use uhscm_linalg::Matrix;
 use uhscm_nn::Mlp;
 use uhscm_obs::{obs_count, obs_gauge, obs_span, registry};
 
-use crate::batch::{AdmissionQueue, BatchPolicy, PendingQuery, SubmitError};
+use crate::batch::{AdmissionQueue, PendingQuery, SubmitError};
 use crate::bundle::Bundle;
 use crate::pool::WorkerPool;
 use crate::protocol::{
@@ -83,16 +83,14 @@ impl From<io::Error> for ServeError {
     }
 }
 
-/// Server tunables. `Default` binds an ephemeral loopback port with small
-/// batching windows suited to tests; the CLI overrides from flags.
+/// Server tunables. `Default` binds an ephemeral loopback port; the CLI
+/// overrides from flags.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks an ephemeral port).
     pub addr: String,
     /// Most queries coalesced into one forward pass.
     pub max_batch: usize,
-    /// How long the batch worker waits for stragglers once it has one query.
-    pub max_wait: Duration,
     /// Admission queue bound; submissions beyond it are shed.
     pub queue_cap: usize,
     /// Whether mutation frames (insert/remove/reload) are accepted; a
@@ -109,7 +107,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             max_batch: 16,
-            max_wait: Duration::from_millis(1),
             queue_cap: 256,
             writable: true,
             max_top_k: 1024,
@@ -428,13 +425,13 @@ impl Server {
         let engine = Arc::new(engine);
         let queue = Arc::new(AdmissionQueue::new(config.queue_cap));
         let draining = Arc::new(AtomicBool::new(false));
-        let policy = BatchPolicy { max_batch: config.max_batch.max(1), max_wait: config.max_wait };
 
         let mut pool = WorkerPool::new();
         {
             let engine = Arc::clone(&engine);
             let queue = Arc::clone(&queue);
-            pool.spawn("batch", move || batch_worker(&engine, &queue, policy))?;
+            let max_batch = config.max_batch;
+            pool.spawn("batch", move || batch_worker(&engine, &queue, max_batch))?;
         }
         {
             let accept_queue = Arc::clone(&queue);
@@ -594,6 +591,11 @@ fn read_loop(
     let mut frames = FrameReader::new();
     let mut buf = [0u8; 4096];
     loop {
+        // Checked before every read, not only on a timeout, so a client that
+        // keeps sending cannot hold shutdown open.
+        if draining.load(Ordering::SeqCst) {
+            return;
+        }
         match reader.read(&mut buf) {
             Ok(0) => return, // peer closed
             Ok(n) => frames.push_bytes(&buf[..n]),
@@ -605,9 +607,6 @@ fn read_loop(
                         | io::ErrorKind::Interrupted
                 ) =>
             {
-                if draining.load(Ordering::SeqCst) {
-                    return;
-                }
                 continue;
             }
             Err(_) => return,
@@ -829,8 +828,8 @@ fn handle_frame(
     }
 }
 
-fn batch_worker(engine: &Engine, queue: &AdmissionQueue, policy: BatchPolicy) {
-    while let Some(batch) = queue.next_batch(&policy) {
+fn batch_worker(engine: &Engine, queue: &AdmissionQueue, max_batch: usize) {
+    while let Some(batch) = queue.next_batch(max_batch) {
         run_batch(engine, batch);
     }
 }
@@ -947,6 +946,65 @@ mod tests {
         send(&out, &small);
         assert_eq!(decode_frame(&rx.try_recv().expect("a hits reply was queued")), small);
         assert!(rx.try_recv().is_err(), "one frame per reply");
+    }
+
+    #[test]
+    fn full_queue_answers_overloaded_under_the_query_id() {
+        let engine = test_engine();
+        // One slot and no batch worker: the first query fills it for good.
+        let queue = AdmissionQueue::new(1);
+        let (out, rx) = mpsc::channel::<Vec<u8>>();
+        let first = r#"{"type":"query","id":1,"features":[0.1,0.2,0.3,0.4],"top_k":3}"#;
+        handle_frame(first, &engine, &queue, &out, true, 1024);
+        assert!(rx.try_recv().is_err(), "an admitted query is answered by the worker");
+        assert_eq!(queue.depth(), 1);
+
+        let second = r#"{"type":"query","id":2,"features":[0.4,0.3,0.2,0.1],"top_k":3}"#;
+        match one_frame(&engine, &queue, second, true, 1024) {
+            Response::Error { id: 2, reason: Reason::Overloaded, detail } => {
+                assert!(detail.contains("queue"), "{detail}");
+            }
+            other => panic!("expected overloaded for id 2, got {other:?}"),
+        }
+        assert_eq!(queue.depth(), 1, "a shed query takes no slot");
+    }
+
+    #[test]
+    fn one_batch_of_sixteen_answers_like_sixteen_batches_of_one() {
+        // Tie-dense codes (6 bits, 48 items) and depths from one hit to
+        // more than the database holds: batch composition must not leak
+        // into any reply.
+        let w = crate::synth::workload(42, 8, 6, 48, 16);
+        let engine = Engine::new(w.model.clone(), &w.db, 4).expect("widths match");
+        let top_k = |qi: usize| [1, 7, 48, 60][qi % 4];
+        let (out, rx) = mpsc::channel::<Vec<u8>>();
+        let pending = |qi: usize| {
+            let to = out.clone();
+            PendingQuery {
+                id: qi as u64,
+                features: w.queries.row(qi).to_vec(),
+                top_k: top_k(qi),
+                deadline: None,
+                reply: Box::new(move |resp| send(&to, &resp)),
+            }
+        };
+        run_batch(&engine, (0..16).map(pending).collect());
+        let batched: Vec<Response> = rx.try_iter().map(|f| decode_frame(&f)).collect();
+        for qi in 0..16 {
+            run_batch(&engine, vec![pending(qi)]);
+        }
+        let singles: Vec<Response> = rx.try_iter().map(|f| decode_frame(&f)).collect();
+        assert_eq!(batched.len(), 16);
+        for (qi, reply) in batched.iter().enumerate() {
+            match reply {
+                Response::Hits { id, hits, .. } => {
+                    assert_eq!(*id, qi as u64);
+                    assert_eq!(hits.len(), top_k(qi).min(48), "query {qi}");
+                }
+                other => panic!("expected hits for query {qi}, got {other:?}"),
+            }
+        }
+        assert_eq!(batched, singles);
     }
 
     #[test]

@@ -104,13 +104,10 @@ fn run_swap_boundary(shards: usize, bundle_dir: &Path, alt: &Mlp) {
     let w = synth::workload(SEED, DIM, BITS, N_DB, N_QUERIES);
     let engine = Engine::with_vocab(w.model.clone(), vec!["seed-term".to_string()], &w.db, shards)
         .expect("widths match");
-    let config = ServeConfig {
-        // A small straggler window keeps query batches multi-query while
-        // mutations commit between them.
-        max_wait: Duration::from_millis(5),
-        ..ServeConfig::default()
-    };
-    let server = Server::start(engine, &config).expect("server starts");
+    // Batches form from whatever queued while the worker was busy, so the
+    // pipelined bursts below still yield multi-query batches while
+    // mutations commit between them.
+    let server = Server::start(engine, &ServeConfig::default()).expect("server starts");
     let mut mutator = Client::connect(&server);
     let mut queriers: Vec<Client> = (0..N_QUERIERS).map(|_| Client::connect(&server)).collect();
 

@@ -28,7 +28,8 @@ fi
 for b in table1 table2 figure2 figure3 figure4 table3 figure5 figure6; do
   echo "=== START $b $(date +%T) ===" >> results/experiments.log
   ./target/release/$b --scale full > results/$b.out 2> results/$b.err
-  echo "=== DONE $b $(date +%T) rc=$? ===" >> results/experiments.log
+  rc=$?
+  echo "=== DONE $b $(date +%T) rc=$rc ===" >> results/experiments.log
 done
 
 # Serving benchmark: the loadgen client drives an in-process uhscm-serve
@@ -36,7 +37,8 @@ done
 # percentiles, throughput, batch-size distribution, shed rate).
 echo "=== START loadgen $(date +%T) ===" >> results/experiments.log
 cargo run --release -p uhscm-serve --bin loadgen > results/loadgen.out 2> results/loadgen.err
-echo "=== DONE loadgen $(date +%T) rc=$? ===" >> results/experiments.log
+rc=$?
+echo "=== DONE loadgen $(date +%T) rc=$rc ===" >> results/experiments.log
 
 # Scale phase: the out-of-core segment store benchmark (DESIGN.md §17)
 # stream-builds databases, loads them through the store-backed index, and
@@ -50,7 +52,8 @@ fi
 echo "=== START scale sizes=$scale_sizes $(date +%T) ===" >> results/experiments.log
 cargo run --release -p uhscm-bench --bin scale -- --sizes "$scale_sizes" \
   > results/scale.out 2> results/scale.err
-echo "=== DONE scale $(date +%T) rc=$? ===" >> results/experiments.log
+rc=$?
+echo "=== DONE scale $(date +%T) rc=$rc ===" >> results/experiments.log
 cp BENCH_scale.json results/BENCH_scale.json 2>/dev/null || true
 
 echo "ALL_EXPERIMENTS_DONE" >> results/experiments.log

@@ -18,7 +18,7 @@
 //! uhscm query   --bundle DIR --id Q [--top K]
 //! uhscm info    --bundle DIR
 //! uhscm serve   --bundle DIR [--db-store DIR] [--addr HOST:PORT] [--shards N]
-//!               [--max-batch N] [--max-wait-ms MS] [--queue-cap N]
+//!               [--max-batch N] [--queue-cap N]
 //!               [--readonly true|false] [--max-top-k N]
 //! uhscm db build  --out DIR [--items N] [--bits K] [--dim D] [--seed S]
 //!                 [--chunk N] [--dataset cifar|nus|flickr]
@@ -79,7 +79,6 @@ pub struct ServeArgs {
     pub addr: String,
     pub shards: usize,
     pub max_batch: usize,
-    pub max_wait_ms: u64,
     pub queue_cap: usize,
     /// Refuse the write path (`insert`/`remove`/`reload`) at the protocol
     /// layer while still answering queries.
@@ -98,7 +97,6 @@ impl Default for ServeArgs {
             addr: config.addr,
             shards: 2,
             max_batch: config.max_batch,
-            max_wait_ms: config.max_wait.as_millis() as u64,
             queue_cap: config.queue_cap,
             readonly: !config.writable,
             max_top_k: config.max_top_k,
@@ -202,7 +200,7 @@ USAGE:
   uhscm query --bundle DIR --id QUERY_INDEX [--top K]
   uhscm info  --bundle DIR
   uhscm serve --bundle DIR [--db-store DIR] [--addr HOST:PORT] [--shards N]
-              [--max-batch N] [--max-wait-ms MS] [--queue-cap N]
+              [--max-batch N] [--queue-cap N]
               [--readonly true|false] [--max-top-k N]
   uhscm db build  --out DIR [--items N] [--bits K] [--dim D] [--seed S]
                   [--chunk N] [--dataset cifar|nus|flickr]
@@ -341,7 +339,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "addr" => s.addr = v.clone(),
                     "shards" => s.shards = parse_num(k, v)?,
                     "max-batch" => s.max_batch = parse_num(k, v)?,
-                    "max-wait-ms" => s.max_wait_ms = parse_num(k, v)? as u64,
                     "queue-cap" => s.queue_cap = parse_num(k, v)?,
                     "readonly" => s.readonly = parse_bool(k, v)?,
                     "max-top-k" => s.max_top_k = parse_num(k, v)?,
@@ -659,7 +656,6 @@ fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
     let config = uhscm_serve::ServeConfig {
         addr: args.addr.clone(),
         max_batch: args.max_batch,
-        max_wait: std::time::Duration::from_millis(args.max_wait_ms),
         queue_cap: args.queue_cap,
         writable: !args.readonly,
         max_top_k: args.max_top_k,
@@ -871,7 +867,7 @@ mod tests {
             "127.0.0.1:9000",
             "--shards",
             "4",
-            "--max-wait-ms",
+            "--max-batch",
             "3",
             "--readonly",
             "true",
@@ -884,8 +880,7 @@ mod tests {
                 assert_eq!(s.bundle, PathBuf::from("/tmp/b"));
                 assert_eq!(s.addr, "127.0.0.1:9000");
                 assert_eq!(s.shards, 4);
-                assert_eq!(s.max_wait_ms, 3);
-                assert_eq!(s.max_batch, ServeArgs::default().max_batch);
+                assert_eq!(s.max_batch, 3);
                 assert_eq!(s.queue_cap, ServeArgs::default().queue_cap);
                 assert!(s.readonly);
                 assert_eq!(s.max_top_k, 64);
@@ -898,12 +893,15 @@ mod tests {
             parse(&argv(&["serve", "--bundle", "b", "--readonly", "maybe"])),
             Err(CliError::Usage(_))
         ));
-        // --bundle is mandatory, unknown flags rejected.
+        // --bundle is mandatory; unknown flags are rejected, including
+        // --max-wait-ms (batching has no window to set).
         assert!(matches!(parse(&argv(&["serve"])), Err(CliError::Usage(_))));
-        assert!(matches!(
-            parse(&argv(&["serve", "--bundle", "b", "--nope", "1"])),
-            Err(CliError::Usage(_))
-        ));
+        for flag in ["--nope", "--max-wait-ms"] {
+            assert!(matches!(
+                parse(&argv(&["serve", "--bundle", "b", flag, "1"])),
+                Err(CliError::Usage(_))
+            ));
+        }
     }
 
     #[test]
