@@ -246,7 +246,8 @@ fn parallel_comparison() {
         &|| f64_bits(a.matmul(&b).as_slice()),
     ));
 
-    // Layer 1b: the cosine Gram matrix behind the semantic similarity graph.
+    // Layer 1b: the dense cosine Gram matrix, the reference that the
+    // trainer's on-demand similarity blocks are checked against.
     let feats = rng::gauss_matrix(&mut r, 512, 256, 1.0);
     records.push(compare("cosine_gram", "512x256", threads, None, &|| {
         f64_bits(cosine_gram(&feats).as_slice())

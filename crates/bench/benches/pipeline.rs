@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 use uhscm_core::loss::{hashing_loss_and_grad, LossParams};
-use uhscm_core::similarity::similarity_from_distributions;
+use uhscm_core::similarity::Similarity;
 use uhscm_core::{concept_distributions, denoise_concepts};
 use uhscm_data::{vocab, Dataset, DatasetConfig, DatasetKind};
 use uhscm_linalg::{rng, Matrix};
@@ -38,8 +38,11 @@ fn bench_pipeline(c: &mut Criterion) {
         bench.iter(|| black_box(denoise_concepts(&dists)));
     });
 
-    group.bench_function("similarity_matrix_400", |bench| {
-        bench.iter(|| black_box(similarity_from_distributions(&dists)));
+    // The t × t block one training step reads (t = 128 of n = 400).
+    let sim = Similarity::cosine(&dists);
+    let batch: Vec<usize> = (0..128).map(|i| (i * 3) % 400).collect();
+    group.bench_function("similarity_block_t128", |bench| {
+        bench.iter(|| black_box(sim.block(&batch)));
     });
 
     // Eq. 11 loss on a paper-sized batch (t=128, k=64).

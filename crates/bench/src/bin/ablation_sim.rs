@@ -120,7 +120,7 @@ fn run_pair(
             }
             _ => unreachable!("default source is ConceptsDenoised"),
         };
-        uhscm_core::similarity_from_distributions(&scores)
+        uhscm_core::Similarity::cosine(&scores)
     };
     let model = uhscm_core::train_hashing_network(
         &train_features,

@@ -42,5 +42,5 @@ pub use config::UhscmConfig;
 pub use denoise::{concept_frequencies, denoise_concepts, discard};
 pub use mining::concept_distributions;
 pub use pipeline::{Pipeline, Regularizer, SimilaritySource};
-pub use similarity::{similarity_from_distributions, similarity_from_features};
+pub use similarity::Similarity;
 pub use trainer::{train_hashing_network, TrainedHasher};

@@ -5,7 +5,7 @@
 //! trainer (steps 6-13), covering the full model *and* every similarity
 //! construction the ablation study compares.
 
-use crate::similarity::{mean_similarity, similarity_from_distributions, similarity_from_features};
+use crate::similarity::Similarity;
 pub use crate::trainer::Regularizer;
 use crate::trainer::{train_hashing_network, TrainedHasher};
 use crate::{concept_distributions, denoise_concepts, UhscmConfig};
@@ -44,8 +44,9 @@ impl Default for SimilaritySource {
 /// Result of similarity construction, including what survived denoising.
 #[derive(Debug, Clone)]
 pub struct SimilarityOutcome {
-    /// The `n × n` semantic similarity matrix over the training items.
-    pub q: Matrix,
+    /// The `n × n` semantic similarity matrix over the training items, held
+    /// as its factor.
+    pub q: Similarity,
     /// Names of retained concepts (when concept mining was used).
     pub kept_concepts: Option<Vec<String>>,
 }
@@ -128,7 +129,7 @@ impl<'a> Pipeline<'a> {
                 }
                 let q = {
                     let _s = uhscm_obs::span("build_q");
-                    similarity_from_distributions(&d2)
+                    Similarity::cosine(&d2)
                 };
                 SimilarityOutcome {
                     q,
@@ -138,10 +139,7 @@ impl<'a> Pipeline<'a> {
             SimilaritySource::ConceptsRaw { vocab, template } => {
                 let scores = self.clip.score_matrix(&self.train_latents, vocab, *template);
                 let d = concept_distributions(&scores, tau_factor);
-                SimilarityOutcome {
-                    q: similarity_from_distributions(&d),
-                    kept_concepts: Some(vocab.clone()),
-                }
+                SimilarityOutcome { q: Similarity::cosine(&d), kept_concepts: Some(vocab.clone()) }
             }
             SimilaritySource::ConceptsClustered { vocab, template, clusters } => {
                 assert!(*clusters >= 2, "need at least 2 clusters");
@@ -157,11 +155,11 @@ impl<'a> Pipeline<'a> {
                 }
                 let scores = self.clip.score_images_against(&self.train_latents, &centroids);
                 let d = concept_distributions(&scores, tau_factor);
-                SimilarityOutcome { q: similarity_from_distributions(&d), kept_concepts: None }
+                SimilarityOutcome { q: Similarity::cosine(&d), kept_concepts: None }
             }
             SimilaritySource::ConceptsAveraged { vocab, templates } => {
                 assert!(!templates.is_empty(), "need at least one template");
-                let qs: Vec<Matrix> = templates
+                let qs: Vec<Similarity> = templates
                     .iter()
                     .map(|t| {
                         let src = SimilaritySource::ConceptsDenoised {
@@ -171,11 +169,11 @@ impl<'a> Pipeline<'a> {
                         self.build_similarity(&src, tau_factor).q
                     })
                     .collect();
-                SimilarityOutcome { q: mean_similarity(&qs), kept_concepts: None }
+                SimilarityOutcome { q: Similarity::mean(qs), kept_concepts: None }
             }
             SimilaritySource::ClipFeatures => {
                 let features = self.clip.embed_images(&self.train_latents);
-                SimilarityOutcome { q: similarity_from_features(&features), kept_concepts: None }
+                SimilarityOutcome { q: Similarity::cosine(&features), kept_concepts: None }
             }
         }
     }
@@ -208,9 +206,23 @@ impl<'a> Pipeline<'a> {
     /// Encode the query and database splits with a trained model.
     pub fn encode_splits(&self, model: &TrainedHasher) -> (BitCodes, BitCodes) {
         let _span = uhscm_obs::span("encode");
-        let q = model.encode(&self.features_of(&self.dataset.split.query));
-        let db = model.encode(&self.features_of(&self.dataset.split.database));
+        let q = self.encode_items(model, &self.dataset.split.query);
+        let db = self.encode_items(model, &self.dataset.split.database);
         (q, db)
+    }
+
+    /// Codes of the items at `indices`, extracted and encoded
+    /// [`ENCODE_CHUNK`] rows at a time, so memory stays bounded by one
+    /// chunk's latents and features. The codes equal one unchunked
+    /// `model.encode(&self.features_of(indices))`: each row's backbone noise
+    /// is seeded from that row alone, and every kernel on the way is
+    /// per-row.
+    pub fn encode_items(&self, model: &TrainedHasher, indices: &[usize]) -> BitCodes {
+        let mut codes = BitCodes::from_real(&Matrix::zeros(0, model.bits()));
+        for chunk in indices.chunks(ENCODE_CHUNK) {
+            codes.extend(&model.encode(&self.features_of(chunk)));
+        }
+        codes
     }
 
     /// MAP of a trained model over the dataset's query/database splits,
@@ -234,6 +246,9 @@ impl<'a> Pipeline<'a> {
         }
     }
 }
+
+/// Rows per chunk in [`Pipeline::encode_items`].
+const ENCODE_CHUNK: usize = 1024;
 
 /// Copy a subset of columns into a new matrix.
 fn select_columns(m: &Matrix, cols: &[usize]) -> Matrix {
@@ -291,14 +306,14 @@ mod tests {
                 template: PromptTemplate::PhotoOfThe,
             },
         ] {
-            let out = p.build_similarity(&source, 3.0);
+            let q = p.build_similarity(&source, 3.0).q.to_dense();
             let n = ds.split.train.len();
-            assert_eq!(out.q.shape(), (n, n));
+            assert_eq!(q.shape(), (n, n));
             for i in 0..n.min(10) {
-                assert!((out.q[(i, i)] - 1.0).abs() < 1e-9);
+                assert!((q[(i, i)] - 1.0).abs() < 1e-9);
                 for j in 0..n.min(10) {
-                    assert!((out.q[(i, j)] - out.q[(j, i)]).abs() < 1e-9);
-                    assert!(out.q[(i, j)] <= 1.0 + 1e-9 && out.q[(i, j)] >= -1.0 - 1e-9);
+                    assert!((q[(i, j)] - q[(j, i)]).abs() < 1e-9);
+                    assert!(q[(i, j)] <= 1.0 + 1e-9 && q[(i, j)] >= -1.0 - 1e-9);
                 }
             }
         }
@@ -325,8 +340,12 @@ mod tests {
                 &SimilaritySource::ConceptsDenoised { vocab: vocab.clone(), template },
                 3.0,
             )
-            .q;
-        let q_raw = p.build_similarity(&SimilaritySource::ConceptsRaw { vocab, template }, 3.0).q;
+            .q
+            .to_dense();
+        let q_raw = p
+            .build_similarity(&SimilaritySource::ConceptsRaw { vocab, template }, 3.0)
+            .q
+            .to_dense();
         let fidelity = |q: &Matrix| {
             let train = &ds.split.train;
             let mut same = Vec::new();
@@ -377,10 +396,13 @@ mod tests {
                 &SimilaritySource::ConceptsDenoised { vocab: vocab.clone(), template },
                 3.0,
             )
-            .q,
+            .q
+            .to_dense(),
         );
         let fp_raw = false_positives(
-            &p.build_similarity(&SimilaritySource::ConceptsRaw { vocab, template }, 3.0).q,
+            &p.build_similarity(&SimilaritySource::ConceptsRaw { vocab, template }, 3.0)
+                .q
+                .to_dense(),
         );
         assert!(
             fp_full * 2 < fp_raw.max(1) * 3,
@@ -400,8 +422,8 @@ mod tests {
             },
             3.0,
         );
-        assert_eq!(out.q.rows(), ds.split.train.len());
-        assert!(out.q.as_slice().iter().all(|v| v.is_finite()));
+        assert_eq!(out.q.len(), ds.split.train.len());
+        assert!(out.q.to_dense().as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -431,6 +453,28 @@ mod tests {
             },
             3.0,
         );
-        assert_eq!(out.q.rows(), ds.split.train.len());
+        assert_eq!(out.q.len(), ds.split.train.len());
+    }
+
+    #[test]
+    fn chunked_encoding_equals_one_unchunked_pass() {
+        // 2,500 database items: two full chunks and a partial one.
+        let cfg =
+            DatasetConfig { n_train: 100, n_query: 10, n_database: 2_500, ..DatasetConfig::tiny() };
+        let ds = Dataset::generate(DatasetKind::NusWideLike, &cfg, 5);
+        let p = tiny_pipeline(&ds);
+        let config = UhscmConfig {
+            bits: 16,
+            epochs: 1,
+            batch_size: 32,
+            ..UhscmConfig::for_dataset(ds.kind)
+        };
+        let model = p.train(&SimilaritySource::default(), &config);
+        let (query, db) = p.encode_splits(&model);
+        assert!(ds.split.database.len() > 2 * ENCODE_CHUNK);
+        assert_ne!(ds.split.database.len() % ENCODE_CHUNK, 0);
+        for (codes, split) in [(query, &ds.split.query), (db, &ds.split.database)] {
+            assert_eq!(codes, model.encode(&p.features_of(split)));
+        }
     }
 }

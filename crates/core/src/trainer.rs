@@ -3,6 +3,7 @@
 use crate::loss::{
     cib_contrastive_loss_and_grad, hashing_loss_and_grad, LossBreakdown, LossParams,
 };
+use crate::similarity::Similarity;
 use crate::UhscmConfig;
 use rand::Rng;
 use uhscm_eval::BitCodes;
@@ -54,21 +55,22 @@ impl TrainedHasher {
 ///
 /// * `features` — `n × d` inputs to the network (the simulated VGG backbone
 ///   output for the training images),
-/// * `q` — the `n × n` semantic similarity matrix built by the generator,
+/// * `q` — the `n × n` semantic similarity operator built by the generator;
+///   each step reads its `t × t` block,
 /// * `regularizer` — which variant of the contrastive term to use.
 ///
 /// # Panics
 /// Panics if the config is invalid or shapes disagree.
 pub fn train_hashing_network(
     features: &Matrix,
-    q: &Matrix,
+    q: &Similarity,
     config: &UhscmConfig,
     regularizer: Regularizer,
     seed: u64,
 ) -> TrainedHasher {
     config.validate().expect("invalid UHSCM configuration");
     let n = features.rows();
-    assert_eq!(q.shape(), (n, n), "similarity matrix must be n × n");
+    assert_eq!(q.len(), n, "similarity matrix must be n × n");
     assert!(n >= 2, "need at least two training items");
 
     let mut r = rng::seeded(seed ^ 0x415c_u64);
@@ -101,9 +103,14 @@ pub fn train_hashing_network(
                 continue; // pairwise losses need at least two items
             }
             let x = features.select_rows(chunk);
-            let qb = sub_similarity(q, chunk);
+            let qb = q.block(chunk);
 
-            let z = mlp.infer(&x);
+            // Modified/None back-propagate through this pass; OriginalCib
+            // interleaves a second view and re-forwards both below.
+            let z = match regularizer {
+                Regularizer::Modified | Regularizer::None => mlp.forward(&x),
+                Regularizer::OriginalCib => mlp.infer(&x),
+            };
             if uhscm_obs::enabled() {
                 saturation_sum += tanh_saturation(&z);
                 balance_sum += bit_balance(&z);
@@ -112,7 +119,6 @@ pub fn train_hashing_network(
 
             match regularizer {
                 Regularizer::Modified | Regularizer::None => {
-                    let _ = mlp.forward(&x);
                     mlp.backward(&grad);
                 }
                 Regularizer::OriginalCib => {
@@ -196,21 +202,6 @@ pub fn train_hashing_network(
     TrainedHasher { mlp, loss_history: history }
 }
 
-/// Extract the `|idx| × |idx|` sub-block of the similarity matrix.
-fn sub_similarity(q: &Matrix, idx: &[usize]) -> Matrix {
-    let t = idx.len();
-    let mut out = Matrix::zeros(t, t);
-    for (a, &i) in idx.iter().enumerate() {
-        // Batch indices come from the sampler, which draws from 0..n, so
-        // every `j` is in range; the `get` keeps this total regardless.
-        let src = q.row(i);
-        for (slot, &j) in out.row_mut(a).iter_mut().zip(idx) {
-            *slot = src.get(j).copied().unwrap_or_default();
-        }
-    }
-    out
-}
-
 /// Frobenius norm of a flat parameter-gradient vector (telemetry only).
 fn frobenius(v: &[f64]) -> f64 {
     v.iter().map(|g| g * g).sum::<f64>().sqrt()
@@ -261,7 +252,7 @@ mod tests {
     use uhscm_linalg::vecops;
 
     /// Toy problem: two feature clusters; Q says "same cluster ⇒ similar".
-    fn toy(n_per: usize, d: usize, seed: u64) -> (Matrix, Matrix, Vec<usize>) {
+    fn toy(n_per: usize, d: usize, seed: u64) -> (Matrix, Similarity, Vec<usize>) {
         let mut r = rng::seeded(seed);
         let mut rows = Vec::new();
         let mut labels = Vec::new();
@@ -275,14 +266,12 @@ mod tests {
             }
         }
         let features = Matrix::from_rows(&rows);
-        let n = 2 * n_per;
-        let mut q = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                q[(i, j)] = if labels[i] == labels[j] { 1.0 } else { 0.0 };
-            }
+        // One-hot label rows: their cosines are exactly 1.0 or 0.0.
+        let mut one_hot = Matrix::zeros(2 * n_per, 2);
+        for (i, &c) in labels.iter().enumerate() {
+            one_hot[(i, c)] = 1.0;
         }
-        (features, q, labels)
+        (features, Similarity::cosine(&one_hot), labels)
     }
 
     fn quick_config() -> UhscmConfig {
@@ -372,7 +361,7 @@ mod tests {
     #[should_panic(expected = "n × n")]
     fn shape_mismatch_rejected() {
         let x = Matrix::zeros(4, 3);
-        let q = Matrix::zeros(3, 3);
+        let q = Similarity::cosine(&Matrix::identity(3));
         let _ = train_hashing_network(&x, &q, &quick_config(), Regularizer::None, 1);
     }
 }

@@ -3,7 +3,7 @@
 use uhscm_core::loss::{hashing_loss_and_grad, LossParams};
 use uhscm_core::pipeline::{Pipeline, Regularizer, SimilaritySource};
 use uhscm_core::trainer::train_hashing_network;
-use uhscm_core::UhscmConfig;
+use uhscm_core::{Similarity, UhscmConfig};
 use uhscm_data::{vocab, Dataset, DatasetConfig, DatasetKind};
 use uhscm_linalg::{rng, Matrix};
 use uhscm_vlp::PromptTemplate;
@@ -16,7 +16,7 @@ fn tiny() -> Dataset {
 fn batch_size_larger_than_dataset_still_trains() {
     let mut r = rng::seeded(1);
     let x = rng::gauss_matrix(&mut r, 10, 6, 1.0);
-    let q = Matrix::identity(10);
+    let q = Similarity::cosine(&Matrix::identity(10));
     let cfg = UhscmConfig { bits: 4, epochs: 2, batch_size: 512, ..UhscmConfig::default() };
     let model = train_hashing_network(&x, &q, &cfg, Regularizer::Modified, 3);
     assert_eq!(model.encode(&x).len(), 10);
@@ -102,7 +102,7 @@ fn single_concept_vocabulary_works() {
     };
     let outcome = pipeline.build_similarity(&source, 3.0);
     // One concept ⇒ all distributions identical ⇒ all-ones similarity.
-    assert!(outcome.q.as_slice().iter().all(|&v| (v - 1.0).abs() < 1e-9));
+    assert!(outcome.q.to_dense().as_slice().iter().all(|&v| (v - 1.0).abs() < 1e-9));
 }
 
 #[test]
@@ -113,30 +113,16 @@ fn duplicate_concepts_in_vocabulary_are_harmless() {
     vocab.push("cat".to_string()); // duplicate of an existing entry
     let source = SimilaritySource::ConceptsDenoised { vocab, template: PromptTemplate::PhotoOfThe };
     let outcome = pipeline.build_similarity(&source, 3.0);
-    assert!(outcome.q.as_slice().iter().all(|v| v.is_finite()));
+    assert!(outcome.q.to_dense().as_slice().iter().all(|v| v.is_finite()));
 }
 
 #[test]
 fn invalid_config_is_rejected_before_training() {
     let mut r = rng::seeded(5);
     let x = rng::gauss_matrix(&mut r, 6, 4, 1.0);
-    let q = Matrix::identity(6);
+    let q = Similarity::cosine(&Matrix::identity(6));
     let cfg = UhscmConfig { gamma: -1.0, ..UhscmConfig::test_profile() };
     let result =
         std::panic::catch_unwind(|| train_hashing_network(&x, &q, &cfg, Regularizer::Modified, 1));
     assert!(result.is_err(), "negative gamma must be rejected");
-}
-
-#[test]
-fn asymmetric_q_is_consumed_without_panic() {
-    // Q built by the generator is symmetric, but the trainer must tolerate
-    // externally supplied (slightly asymmetric) matrices.
-    let mut r = rng::seeded(6);
-    let x = rng::gauss_matrix(&mut r, 8, 4, 1.0);
-    let mut q = Matrix::identity(8);
-    q[(0, 1)] = 0.9;
-    q[(1, 0)] = 0.7; // asymmetric on purpose
-    let cfg = UhscmConfig { bits: 4, epochs: 1, batch_size: 8, ..UhscmConfig::default() };
-    let model = train_hashing_network(&x, &q, &cfg, Regularizer::Modified, 2);
-    assert!(model.relaxed(&x).as_slice().iter().all(|v| v.is_finite()));
 }

@@ -2,9 +2,14 @@
 
 use proptest::prelude::*;
 use uhscm_core::loss::{hashing_loss_and_grad, LossParams};
-use uhscm_core::similarity::similarity_from_distributions;
+use uhscm_core::similarity::{cosine_gram, Similarity};
 use uhscm_core::{concept_distributions, concept_frequencies, denoise_concepts, discard};
 use uhscm_linalg::{rng, vecops, Matrix};
+
+/// `m[idx, idx]` as raw bits, row by row.
+fn sub_block_bits(m: &Matrix, idx: &[usize]) -> Vec<u64> {
+    idx.iter().flat_map(|&i| idx.iter().map(move |&j| m[(i, j)].to_bits())).collect()
+}
 
 /// Random score matrices in the simulated CLIP range.
 fn score_matrix() -> impl Strategy<Value = Matrix> {
@@ -90,7 +95,7 @@ proptest! {
     #[test]
     fn similarity_matrix_is_valid_gram(scores in score_matrix()) {
         let d = concept_distributions(&scores, 3.0);
-        let q = similarity_from_distributions(&d);
+        let q = Similarity::cosine(&d).to_dense();
         let n = d.rows();
         prop_assert_eq!(q.shape(), (n, n));
         for i in 0..n {
@@ -155,7 +160,6 @@ proptest! {
 proptest! {
     #[test]
     fn cosine_gram_parallel_matches_serial_bitwise(scores in score_matrix()) {
-        use uhscm_core::similarity::cosine_gram;
         use uhscm_linalg::par;
         let serial = par::with_threads(1, || cosine_gram(&scores));
         for threads in [2usize, 3, 8] {
@@ -168,10 +172,56 @@ proptest! {
     fn similarity_parallel_matches_serial_bitwise(scores in score_matrix(), tau in 0.5..5.0f64) {
         use uhscm_linalg::par;
         let d = concept_distributions(&scores, tau);
-        let serial = par::with_threads(1, || similarity_from_distributions(&d));
+        let serial = par::with_threads(1, || Similarity::cosine(&d).to_dense());
         for threads in [2usize, 3, 8] {
-            let parallel = par::with_threads(threads, || similarity_from_distributions(&d));
+            let parallel = par::with_threads(threads, || Similarity::cosine(&d).to_dense());
             prop_assert_eq!(serial.as_slice(), parallel.as_slice());
         }
+    }
+
+    /// A block of the factored operator has the bits of the same sub-block
+    /// of the dense reference, for random index lists with repeats, over
+    /// non-negative distributions and over feature rows with negative
+    /// entries.
+    #[test]
+    fn block_matches_dense_cosine_gram_bitwise(
+        scores in score_matrix(),
+        tau in 0.5..5.0f64,
+        picks in prop::collection::vec(any::<usize>(), 0..40),
+    ) {
+        let idx: Vec<usize> = picks.iter().map(|p| p % scores.rows()).collect();
+        let distributions = concept_distributions(&scores, tau);
+        let features = scores.map(|v| v - 0.25);
+        for x in [&distributions, &features] {
+            let block = Similarity::cosine(x).block(&idx);
+            prop_assert_eq!(block.shape(), (idx.len(), idx.len()));
+            let got: Vec<u64> = block.as_slice().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, sub_block_bits(&cosine_gram(x), &idx));
+        }
+    }
+
+    /// The mean of 2-3 operators has the bits of the dense element-wise mean
+    /// `(q_0 + q_1 + …) × 1/k`, diagonal included.
+    #[test]
+    fn averaged_block_matches_dense_mean_bitwise(
+        scores in score_matrix(),
+        k in 2usize..4,
+        picks in prop::collection::vec(any::<usize>(), 0..40),
+    ) {
+        let idx: Vec<usize> = picks.iter().map(|p| p % scores.rows()).collect();
+        let parts = [
+            concept_distributions(&scores, 1.0),
+            scores.map(|v| v - 0.25),
+            concept_distributions(&scores, 3.0),
+        ];
+        let parts = &parts[..k];
+        let mut dense = cosine_gram(&parts[0]);
+        for x in &parts[1..] {
+            dense.axpy(1.0, &cosine_gram(x));
+        }
+        dense.scale(1.0 / k as f64);
+        let mean = Similarity::mean(parts.iter().map(Similarity::cosine).collect());
+        let got: Vec<u64> = mean.block(&idx).as_slice().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got, sub_block_bits(&dense, &idx));
     }
 }

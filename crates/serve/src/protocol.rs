@@ -515,9 +515,11 @@ pub fn decode_response(body: &str) -> Result<Response, String> {
                 .iter()
                 .map(|pair| {
                     let arr = pair.as_arr().filter(|a| a.len() == 2).ok_or("bad hit pair")?;
-                    let d = arr[0].as_u64().ok_or("bad hit distance")?;
-                    let i = arr[1].as_u64().ok_or("bad hit index")?;
-                    Ok((d as u32, i as u32))
+                    let u32_at = |k: usize| arr[k].as_u64().and_then(|x| u32::try_from(x).ok());
+                    let d =
+                        u32_at(0).ok_or("hit distance must be an integer from 0 to 2^32 - 1")?;
+                    let i = u32_at(1).ok_or("hit index must be an integer from 0 to 2^32 - 1")?;
+                    Ok((d, i))
                 })
                 .collect::<Result<Vec<(u32, u32)>, &str>>()?;
             let generation =
@@ -698,6 +700,22 @@ mod tests {
             decode_response(&encode_response(&Response::Pong)).expect("pong"),
             Response::Pong
         );
+    }
+
+    #[test]
+    fn hit_values_past_u32_are_refused() {
+        // 2^32 would narrow to 0: both fields refuse it, naming themselves.
+        let hits = |pair: &str| {
+            format!(r#"{{"type":"hits","id":1,"hits":[{pair}],"generation":0,"bundle":0}}"#)
+        };
+        for (field, pair) in [("distance", "[4294967296,1]"), ("index", "[1,4294967296]")] {
+            let detail = decode_response(&hits(pair)).expect_err("past u32");
+            assert!(detail.contains(field) && detail.contains("2^32"), "{detail}");
+        }
+        let max = decode_response(&hits("[4294967295,4294967295]")).expect("u32::MAX fits");
+        let expected =
+            Response::Hits { id: 1, hits: vec![(u32::MAX, u32::MAX)], generation: 0, bundle: 0 };
+        assert_eq!(max, expected);
     }
 
     #[test]

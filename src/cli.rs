@@ -489,7 +489,7 @@ fn run_train(args: &TrainArgs) -> Result<String, CliError> {
         ..UhscmConfig::for_dataset(args.dataset)
     };
     let model = pipeline.train(&SimilaritySource::default(), &uhscm);
-    let db_codes = model.encode(&pipeline.features_of(&dataset.split.database));
+    let db_codes = pipeline.encode_items(&model, &dataset.split.database);
 
     fs::create_dir_all(&args.out)?;
     let mut net_file = fs::File::create(args.out.join("model.nn"))?;

@@ -14,7 +14,7 @@
 #[cfg(feature = "checked")]
 mod injected {
     use uhscm_core::loss::{hashing_loss_and_grad, LossParams};
-    use uhscm_core::{train_hashing_network, Regularizer, UhscmConfig};
+    use uhscm_core::{train_hashing_network, Regularizer, Similarity, UhscmConfig};
     use uhscm_linalg::{rng, Matrix};
     use uhscm_nn::{Activation, Mlp, Sgd};
 
@@ -30,7 +30,7 @@ mod injected {
         let mut r = rng::seeded(11);
         let mut x = rng::gauss_matrix(&mut r, 12, 6, 1.0);
         x[(3, 2)] = f64::NAN;
-        let q = Matrix::identity(12);
+        let q = Similarity::cosine(&Matrix::identity(12));
         let cfg = UhscmConfig { bits: 8, epochs: 1, batch_size: 12, ..UhscmConfig::default() };
         let _ = train_hashing_network(&x, &q, &cfg, Regularizer::Modified, 1);
     }
@@ -66,7 +66,7 @@ mod injected {
     fn clean_training_passes_all_tripwires() {
         let mut r = rng::seeded(14);
         let x = rng::gauss_matrix(&mut r, 16, 6, 1.0);
-        let q = Matrix::identity(16);
+        let q = Similarity::cosine(&Matrix::identity(16));
         let cfg = UhscmConfig { bits: 8, epochs: 2, batch_size: 8, ..UhscmConfig::default() };
         let model = train_hashing_network(&x, &q, &cfg, Regularizer::Modified, 2);
         assert_eq!(model.bits(), 8);

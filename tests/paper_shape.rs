@@ -103,7 +103,7 @@ fn every_similarity_source_works_on_every_dataset() {
                 clusters: 20,
             },
         ] {
-            let q = pipeline.build_similarity(&source, 3.0).q;
+            let q = pipeline.build_similarity(&source, 3.0).q.to_dense();
             assert_eq!(q.rows(), ds.split.train.len(), "{kind:?} {source:?}");
             assert!(q.as_slice().iter().all(|v| v.is_finite()));
         }
