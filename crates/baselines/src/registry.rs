@@ -65,19 +65,6 @@ impl BaselineKind {
         }
     }
 
-    /// Whether the method trains a neural network (vs. a shallow transform).
-    pub fn is_deep(self) -> bool {
-        matches!(
-            self,
-            BaselineKind::Ssdh
-                | BaselineKind::Gh
-                | BaselineKind::Bgan
-                | BaselineKind::Mls3rduh
-                | BaselineKind::Cib
-                | BaselineKind::Uth
-        )
-    }
-
     /// Train this baseline on `features`, producing `bits`-bit codes.
     /// Shallow methods ignore `config`.
     pub fn train(

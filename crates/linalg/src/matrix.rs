@@ -150,11 +150,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix, returning its flat row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterator over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols)

@@ -282,11 +282,6 @@ impl Engine {
     ///
     /// A human-readable `bad_request` detail if any row's width differs
     /// from the pinned bundle's input dimension.
-    ///
-    /// (Named `insert_rows`, not `insert`: mutation telemetry is emitted
-    /// here, and the lint's name-resolved call graph would route every
-    /// map/set `insert` — including the obs registry's own, under its
-    /// lock — through a function named `insert`.)
     pub fn insert_rows(&self, rows: &[Vec<f64>]) -> Result<(InsertCommit, u64), String> {
         let bundle = self.bundle();
         let dim = bundle.model.input_dim();
@@ -334,9 +329,6 @@ impl Engine {
     /// A human-readable `bad_request` detail if `index` is out of range.
     /// The total length never shrinks, so the range check cannot go stale
     /// between validation and commit.
-    ///
-    /// (Named `remove_index` for the same lint-call-graph reason as
-    /// [`Engine::insert_rows`].)
     pub fn remove_index(&self, index: u64) -> Result<RemoveCommit, String> {
         let total = self.index.total_len();
         // `try_from` + range check replace the old `as` casts in both

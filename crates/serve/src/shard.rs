@@ -541,10 +541,7 @@ impl ShardedIndex {
         let Ok(key) = u32::try_from(index) else {
             return RemoveCommit { generation: cur.seq(), removed: false, live: cur.live_len() };
         };
-        // `extend`, not `BTreeSet::insert`: the writer gate is held here,
-        // and the name-based lint call graph would resolve an `insert` call
-        // to `ShardedIndex::insert` (a false self-deadlock witness).
-        next.tombstones.extend([key]);
+        next.tombstones.insert(key);
         let commit = RemoveCommit { generation: next.seq(), removed: true, live: next.live_len() };
         self.commit(next);
         commit
@@ -553,7 +550,7 @@ impl ShardedIndex {
     /// Publish `next` as the current generation: one pointer swap, after
     /// which the old generation lives only as long as its pinned snapshots.
     /// Telemetry for the swap is emitted by the serving layer (off the
-    /// writer gate, and outside functions named like map/set mutators).
+    /// writer gate).
     fn commit(&self, next: Generation) {
         *write_current(&self.current) = Arc::new(next);
     }

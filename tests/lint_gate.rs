@@ -4,12 +4,11 @@
 //! whenever a rule is violated without an allowlisted justification, or
 //! an allowlist entry goes stale. The `--json` run additionally pins the
 //! machine-readable report: it must parse (via the workspace's own JSON
-//! reader in `uhscm::obs::trace`), carry all seven semantic analyses
-//! (panic reachability, determinism, dead exports, lock order,
-//! blocking-under-lock, the allocation budget, and the taint-flow pass),
-//! hold all three checked-in budgets, report a per-pass timing for every
-//! analysis, and be determinism-clean. See `xtask/src/main.rs` for the
-//! rules and `xtask/src/analysis/` for the call-graph passes.
+//! reader in `uhscm::obs::trace`), carry all four semantic analyses
+//! (panic reachability, lock order, blocking-under-lock and the
+//! taint-flow pass), hold both checked-in budgets, and report a per-pass
+//! timing for every analysis. See `xtask/src/main.rs` for the rules and
+//! `xtask/src/analysis/` for the call-graph passes.
 
 use std::process::Command;
 use uhscm::obs::trace::{parse, Json};
@@ -52,18 +51,11 @@ fn lint_json_report_is_well_formed_and_budget_holds() {
             .unwrap_or_else(|| panic!("report missing string `{key}`"))
             .to_string()
     };
-    assert_eq!(str_of(&report, "schema"), "uhscm-lint/3");
+    assert_eq!(str_of(&report, "schema"), "uhscm-lint/4");
 
-    // All seven semantic analyses must have run.
-    const ALL_ANALYSES: [&str; 7] = [
-        "panic-reachability",
-        "determinism",
-        "dead-export",
-        "lock-order",
-        "blocking-under-lock",
-        "alloc-budget",
-        "taint-flow",
-    ];
+    // All four semantic analyses must have run.
+    const ALL_ANALYSES: [&str; 4] =
+        ["panic-reachability", "lock-order", "blocking-under-lock", "taint-flow"];
     let analyses: Vec<String> = report
         .get("analyses")
         .and_then(Json::as_arr)
@@ -118,30 +110,6 @@ fn lint_json_report_is_well_formed_and_budget_holds() {
         }
     }
 
-    // The allocation budget holds for every hot-path root: each root has a
-    // pinned count in xtask/alloc.budget and its status is `ok` (over and
-    // under both fail — a stale budget hides the next regression).
-    let alloc_roots = report
-        .get("alloc_budget")
-        .and_then(|b| b.get("roots"))
-        .and_then(Json::as_arr)
-        .expect("report missing `alloc_budget.roots`");
-    assert!(alloc_roots.len() >= 5, "expected the five hot-path roots, got {}", alloc_roots.len());
-    for root in alloc_roots {
-        let name = str_of(root, "root");
-        assert_eq!(str_of(root, "status"), "ok", "alloc budget violated for root `{name}`");
-        assert!(
-            root.get("budget").and_then(Json::as_u64).is_some(),
-            "root `{name}` has no pinned budget in xtask/alloc.budget"
-        );
-        let sites = root.get("sites").and_then(Json::as_arr).expect("root missing `sites`");
-        let declared = root
-            .get("reachable_sites")
-            .and_then(Json::as_u64)
-            .expect("root missing `reachable_sites`");
-        assert_eq!(sites.len() as u64, declared, "site list disagrees with count for `{name}`");
-    }
-
     // The taint budget holds for every source group: residual tainted
     // sinks behind the serve/CLI validation boundaries are pinned in
     // xtask/taint.budget, and every reported site names the untrusted
@@ -178,25 +146,13 @@ fn lint_json_report_is_well_formed_and_budget_holds() {
         }
     }
 
-    // Determinism audit must be clean: unordered-map iteration on a hot
-    // path is a reproducibility bug, never an allowlistable style issue.
-    let findings = report.get("findings").and_then(Json::as_arr).expect("missing `findings`");
-    for f in findings {
-        assert_ne!(
-            str_of(f, "rule"),
-            "hash-iter",
-            "hot path iterates an unordered map: {}:{}",
-            str_of(f, "path"),
-            f.get("line").and_then(Json::as_u64).unwrap_or(0),
-        );
-    }
-
     // Summary totals: no errors, and the counts are internally consistent.
     let summary = report.get("summary").expect("missing `summary`");
     let count = |key: &str| -> u64 {
         summary.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("summary missing {key}"))
     };
     assert_eq!(count("errors"), 0, "lint errors in JSON report");
+    let findings = report.get("findings").and_then(Json::as_arr).expect("missing `findings`");
     assert_eq!(
         count("findings"),
         findings.len() as u64,

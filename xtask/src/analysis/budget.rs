@@ -1,9 +1,7 @@
-//! Shared budget-file machinery for the panic, allocation, and taint
-//! budgets.
+//! Shared budget-file machinery for the panic and taint budgets.
 //!
-//! All three budgets pin a per-root count of sites in a checked-in file
-//! (`xtask/panic.budget`, `xtask/alloc.budget`, `xtask/taint.budget`)
-//! with identical semantics: growth over the budget is an error that can
+//! Both budgets pin a per-root count of sites in a checked-in file
+//! (`xtask/panic.budget`, `xtask/taint.budget`) with identical semantics: growth over the budget is an error that can
 //! never be allowlisted, slack is a warning nudging a `--write-budget`
 //! re-baseline, and a missing/stale/malformed file is an error. The
 //! passes differ only in what they count; everything about the file
@@ -14,23 +12,19 @@ use std::collections::BTreeMap;
 
 /// One budget file: which rule its findings carry and where it lives.
 pub struct BudgetSpec {
-    /// Finding rule name (`panic-budget` / `alloc-budget`); deliberately
+    /// Finding rule name (`panic-budget` / `taint-budget`); deliberately
     /// absent from `rules::ALL_RULES` so allowlist entries for it are
     /// rejected — budget growth cannot be baselined away.
     pub rule: &'static str,
     /// Repo-relative budget file path.
     pub path: &'static str,
-    /// What the counts measure, for messages (`panic` / `allocation`).
+    /// What the counts measure, for messages (`panic` / `taint`).
     pub noun: &'static str,
 }
 
 /// The panic budget (PR 4 semantics, unchanged).
 pub const PANIC_BUDGET: BudgetSpec =
     BudgetSpec { rule: "panic-budget", path: "xtask/panic.budget", noun: "panic" };
-
-/// The hot-path allocation budget.
-pub const ALLOC_BUDGET: BudgetSpec =
-    BudgetSpec { rule: "alloc-budget", path: "xtask/alloc.budget", noun: "allocation" };
 
 /// The taint budget: tainted sink sites per untrusted-input group.
 pub const TAINT_BUDGET: BudgetSpec =
@@ -242,16 +236,16 @@ mod tests {
     #[test]
     fn over_is_error_under_is_warning() {
         let over =
-            status_finding(&ALLOC_BUDGET, "r", Some(1), 2, BudgetStatus::Over, Vec::new()).unwrap();
+            status_finding(&TAINT_BUDGET, "r", Some(1), 2, BudgetStatus::Over, Vec::new()).unwrap();
         assert_eq!(over.severity, Severity::Error);
-        assert_eq!(over.rule, "alloc-budget");
-        assert!(over.message.contains("allocation budget exceeded"));
-        let under = status_finding(&ALLOC_BUDGET, "r", Some(3), 2, BudgetStatus::Under, Vec::new())
+        assert_eq!(over.rule, "taint-budget");
+        assert!(over.message.contains("taint budget exceeded"));
+        let under = status_finding(&TAINT_BUDGET, "r", Some(3), 2, BudgetStatus::Under, Vec::new())
             .unwrap();
         assert_eq!(under.severity, Severity::Warning);
         assert!(under.message.contains("slack"));
         assert!(
-            status_finding(&ALLOC_BUDGET, "r", Some(2), 2, BudgetStatus::Ok, Vec::new()).is_none()
+            status_finding(&TAINT_BUDGET, "r", Some(2), 2, BudgetStatus::Ok, Vec::new()).is_none()
         );
     }
 
@@ -267,16 +261,16 @@ mod tests {
 
     #[test]
     fn missing_file_is_reported_with_the_spec_path() {
-        let (map, errs) = parse(&ALLOC_BUDGET, None);
+        let (map, errs) = parse(&TAINT_BUDGET, None);
         assert!(map.is_none());
-        assert!(errs[0].contains("xtask/alloc.budget missing"));
+        assert!(errs[0].contains("xtask/taint.budget missing"));
     }
 
     #[test]
     fn render_roundtrips() {
-        let text = render(&ALLOC_BUDGET, &[("uhscm_core::pipeline", 7), ("uhscm_linalg::par", 0)]);
-        assert!(text.contains("uhscm allocation budget"));
-        let (map, errs) = parse(&ALLOC_BUDGET, Some(&text));
+        let text = render(&PANIC_BUDGET, &[("uhscm_core::pipeline", 7), ("uhscm_linalg::par", 0)]);
+        assert!(text.contains("uhscm panic budget"));
+        let (map, errs) = parse(&PANIC_BUDGET, Some(&text));
         assert!(errs.is_empty());
         assert_eq!(map.unwrap().get("uhscm_core::pipeline"), Some(&7));
     }

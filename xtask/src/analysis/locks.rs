@@ -137,7 +137,13 @@ fn model(ws: &Workspace, g: &Graph) -> Model {
                     c.bound.clone(),
                     c.args
                         .iter()
-                        .find(|a| file.parsed.lock_bindings.contains_key(a.as_str()))
+                        .find(|a| {
+                            [true, false].into_iter().any(|field| {
+                                file.parsed.heads(a, field).is_some_and(|h| {
+                                    h.iter().any(|t| matches!(t.as_str(), "Mutex" | "RwLock"))
+                                })
+                            })
+                        })
                         .cloned(),
                 ),
                 None => (None, None),

@@ -1,36 +1,23 @@
 //! Semantic passes over the workspace call graph.
 //!
-//! Seven analyses run on every lint (DESIGN.md §11, §13, §16):
+//! Four analyses run on every lint (DESIGN.md §11, §13, §16):
 //!
 //! * **panic-reachability** ([`panic_reach`]) — BFS from the declared
 //!   hot-path roots below; every intrinsic panic site in a reachable
 //!   function counts against that root's budget in `xtask/panic.budget`.
 //!   Growth over the checked-in budget is an error (never allowlistable);
 //!   slack is a warning nudging a `--write-budget` re-baseline.
-//! * **determinism** ([`determinism`]) — `HashMap`/`HashSet` iteration in
-//!   any library function reachable from a root is an error: iteration
-//!   order can reorder float accumulation across runs.
-//! * **dead-export** ([`dead_export`]) — `pub` library functions with no
-//!   caller outside their crate (tests count) are warnings.
 //! * **lock-order** ([`locks`]) — cycles and same-lock re-entry in the
 //!   acquired-while-held graph; errors, never allowlistable.
 //! * **blocking-under-lock** ([`locks`]) — blocking operations reachable
 //!   while a guard is live; errors, allowlistable with justification
 //!   (intentional `Condvar::wait` coalescing).
-//! * **alloc-budget** ([`alloc_budget`]) — allocation sites reachable from
-//!   the hot-path roots, pinned by `xtask/alloc.budget` with the same
-//!   semantics as the panic budget (shared machinery in [`budget`]).
 //! * **taint-flow** ([`taint`]) — untrusted wire/CLI/bundle values flowing
 //!   to indexing, narrowing-cast, unchecked-arithmetic, and
-//!   allocation-size sinks, pinned by `xtask/taint.budget`.
-//!
-//! `lint --only <pass>` runs a single analysis by the names in
-//! [`PASS_NAMES`]; `ci` always runs the full set.
+//!   allocation-size sinks, pinned by `xtask/taint.budget` with the same
+//!   budget semantics as the panic pass (shared machinery in [`budget`]).
 
-pub mod alloc_budget;
 pub mod budget;
-pub mod dead_export;
-pub mod determinism;
 pub mod locks;
 pub mod panic_reach;
 pub mod taint;
@@ -40,7 +27,6 @@ pub use budget::BudgetStatus;
 use crate::callgraph::{Graph, Workspace};
 use crate::parser::PanicKind;
 use crate::rules::{Finding, Severity, WitnessStep};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Which functions of a root file seed the reachability walk.
@@ -121,168 +107,105 @@ pub struct RootReport {
 pub struct Analysis {
     pub findings: Vec<Finding>,
     pub roots: Vec<RootReport>,
-    pub alloc_roots: Vec<alloc_budget::AllocRootReport>,
     pub taint_roots: Vec<taint::TaintRootReport>,
-    /// `(analysis name, wall-time nanos)` per pass that ran, report order.
+    /// `(analysis name, wall-time nanos)` per pass, in [`PASS_NAMES`] order.
     pub timings: Vec<(&'static str, u128)>,
 }
 
-/// The analyses, in report order — the valid arguments to
-/// `lint --only <pass>`.
-pub const PASS_NAMES: &[&str] = &[
-    "panic-reachability",
-    "determinism",
-    "dead-export",
-    "lock-order",
-    "blocking-under-lock",
-    "alloc-budget",
-    "taint-flow",
-];
+/// The analyses, in report order.
+pub const PASS_NAMES: &[&str] =
+    &["panic-reachability", "lock-order", "blocking-under-lock", "taint-flow"];
 
 /// Run the passes. The `*_budget_src` arguments are the contents of the
 /// corresponding `xtask/*.budget` files (`None` = file missing, an
 /// error). Roots whose file has no matching functions in `ws` are
 /// skipped, so fixture workspaces exercise only the roots they define.
-/// `only` restricts the run to a single pass from [`PASS_NAMES`]
-/// (`None` = run everything); `timings` lists only the passes that ran.
 pub fn run(
     ws: &Workspace,
     g: &Graph,
     panic_budget_src: Option<&str>,
-    alloc_budget_src: Option<&str>,
     taint_budget_src: Option<&str>,
-    only: Option<&str>,
 ) -> Analysis {
-    let enabled = |name: &str| only.map_or(true, |o| o == name);
     let mut findings = Vec::new();
     let mut roots_out = Vec::new();
     let mut timings: Vec<(&'static str, u128)> = Vec::new();
 
-    // Reachability per root; remembered for the determinism pass so its
-    // findings can reuse the cheapest witness chain.
-    let mut reach_witness: BTreeMap<usize, Vec<WitnessStep>> = BTreeMap::new();
-
-    if enabled("panic-reachability") {
-        let spec = &budget::PANIC_BUDGET;
-        let (panic_budget, budget_errors) = budget::parse(spec, panic_budget_src);
-        for e in budget_errors {
-            findings.push(budget::finding(spec, e, Severity::Error, Vec::new()));
+    let spec = &budget::PANIC_BUDGET;
+    let (panic_budget, budget_errors) = budget::parse(spec, panic_budget_src);
+    for e in budget_errors {
+        findings.push(budget::finding(spec, e, Severity::Error, Vec::new()));
+    }
+    let t = Instant::now();
+    let mut budgeted_roots: Vec<&str> = Vec::new();
+    for spec_root in ROOTS {
+        let seeds = seeds_for(ws, g, spec_root);
+        if seeds.is_empty() {
+            continue;
         }
-        let t = Instant::now();
-        let mut budgeted_roots: Vec<&str> = Vec::new();
-
-        for spec_root in ROOTS {
-            let seeds = seeds_for(ws, g, spec_root);
-            if seeds.is_empty() {
+        budgeted_roots.push(spec_root.name);
+        let parent = panic_reach::reach(ws, g, &seeds);
+        let mut sites = Vec::new();
+        for &n in parent.keys() {
+            let item = g.item(ws, n);
+            if item.panic_sites.is_empty() {
                 continue;
             }
-            budgeted_roots.push(spec_root.name);
-            let parent = panic_reach::reach(ws, g, &seeds);
-            let mut sites = Vec::new();
-            for &n in parent.keys() {
-                let chain = panic_reach::witness(ws, g, &parent, n);
-                reach_witness.entry(n).or_insert_with(|| chain.clone());
-                let item = g.item(ws, n);
-                for site in &item.panic_sites {
-                    sites.push(SiteReport {
-                        kind: site.kind,
-                        path: g.path(ws, n).to_string(),
-                        line: site.line + 1,
-                        fn_qualified: g.nodes[n].qualified.clone(),
-                        witness: chain.clone(),
-                    });
-                }
-            }
-            sites.sort_by(|a, b| {
-                (&a.path, a.line, a.kind, &a.fn_qualified).cmp(&(
-                    &b.path,
-                    b.line,
-                    b.kind,
-                    &b.fn_qualified,
-                ))
-            });
-
-            let allotted = panic_budget.as_ref().and_then(|b| b.get(spec_root.name).copied());
-            let count = sites.len() as u64;
-            let status = budget::status(allotted, count);
-            let witness = if status == BudgetStatus::Over {
-                sites.first().map(|s| s.witness.clone()).unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            if let Some(f) =
-                budget::status_finding(spec, spec_root.name, allotted, count, status, witness)
-            {
-                findings.push(f);
-            }
-            roots_out.push(RootReport {
-                root: spec_root.name,
-                budget: allotted,
-                reachable_fns: parent.len(),
-                sites,
-                status,
-            });
-        }
-        findings.extend(budget::stale_findings(spec, &panic_budget, &budgeted_roots));
-        timings.push(("panic-reachability", t.elapsed().as_nanos()));
-    } else if enabled("determinism") {
-        // Determinism reuses the reachability witnesses; compute them
-        // without any budget bookkeeping when the panic pass is skipped.
-        for spec_root in ROOTS {
-            let seeds = seeds_for(ws, g, spec_root);
-            if seeds.is_empty() {
-                continue;
-            }
-            let parent = panic_reach::reach(ws, g, &seeds);
-            for &n in parent.keys() {
-                reach_witness.entry(n).or_insert_with(|| panic_reach::witness(ws, g, &parent, n));
+            let chain = panic_reach::witness(ws, g, &parent, n);
+            for site in &item.panic_sites {
+                sites.push(SiteReport {
+                    kind: site.kind,
+                    path: g.path(ws, n).to_string(),
+                    line: site.line + 1,
+                    fn_qualified: g.nodes[n].qualified.clone(),
+                    witness: chain.clone(),
+                });
             }
         }
-    }
+        sites.sort_by(|a, b| {
+            (&a.path, a.line, a.kind, &a.fn_qualified).cmp(&(
+                &b.path,
+                b.line,
+                b.kind,
+                &b.fn_qualified,
+            ))
+        });
 
-    if enabled("determinism") {
-        let t = Instant::now();
-        findings.extend(determinism::run(ws, g, &reach_witness));
-        timings.push(("determinism", t.elapsed().as_nanos()));
-    }
-
-    if enabled("dead-export") {
-        let t = Instant::now();
-        findings.extend(dead_export::run(ws, g));
-        timings.push(("dead-export", t.elapsed().as_nanos()));
-    }
-
-    if enabled("lock-order") || enabled("blocking-under-lock") {
-        let lock_report = locks::run(ws, g);
-        if enabled("lock-order") {
-            findings.extend(lock_report.lock_order);
-            timings.push(("lock-order", lock_report.order_nanos));
+        let allotted = panic_budget.as_ref().and_then(|b| b.get(spec_root.name).copied());
+        let count = sites.len() as u64;
+        let status = budget::status(allotted, count);
+        let witness = if status == BudgetStatus::Over {
+            sites.first().map(|s| s.witness.clone()).unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        if let Some(f) =
+            budget::status_finding(spec, spec_root.name, allotted, count, status, witness)
+        {
+            findings.push(f);
         }
-        if enabled("blocking-under-lock") {
-            findings.extend(lock_report.blocking);
-            timings.push(("blocking-under-lock", lock_report.blocking_nanos));
-        }
+        roots_out.push(RootReport {
+            root: spec_root.name,
+            budget: allotted,
+            reachable_fns: parent.len(),
+            sites,
+            status,
+        });
     }
+    findings.extend(budget::stale_findings(spec, &panic_budget, &budgeted_roots));
+    timings.push(("panic-reachability", t.elapsed().as_nanos()));
 
-    let mut alloc_roots = Vec::new();
-    if enabled("alloc-budget") {
-        let t = Instant::now();
-        let (alloc_findings, roots) = alloc_budget::run(ws, g, alloc_budget_src);
-        findings.extend(alloc_findings);
-        alloc_roots = roots;
-        timings.push(("alloc-budget", t.elapsed().as_nanos()));
-    }
+    let lock_report = locks::run(ws, g);
+    findings.extend(lock_report.lock_order);
+    timings.push(("lock-order", lock_report.order_nanos));
+    findings.extend(lock_report.blocking);
+    timings.push(("blocking-under-lock", lock_report.blocking_nanos));
 
-    let mut taint_roots = Vec::new();
-    if enabled("taint-flow") {
-        let t = Instant::now();
-        let (taint_findings, roots) = taint::run(ws, g, taint_budget_src);
-        findings.extend(taint_findings);
-        taint_roots = roots;
-        timings.push(("taint-flow", t.elapsed().as_nanos()));
-    }
+    let t = Instant::now();
+    let (taint_findings, taint_roots) = taint::run(ws, g, taint_budget_src);
+    findings.extend(taint_findings);
+    timings.push(("taint-flow", t.elapsed().as_nanos()));
 
-    Analysis { findings, roots: roots_out, alloc_roots, taint_roots, timings }
+    Analysis { findings, roots: roots_out, taint_roots, timings }
 }
 
 /// Seed nodes for one root: non-test functions of the root file matching
@@ -312,12 +235,6 @@ fn seeds_for(ws: &Workspace, g: &Graph, spec: &RootSpec) -> Vec<usize> {
 pub fn render_budget(roots: &[RootReport]) -> String {
     let counts: Vec<(&str, usize)> = roots.iter().map(|r| (r.root, r.sites.len())).collect();
     budget::render(&budget::PANIC_BUDGET, &counts)
-}
-
-/// Render `xtask/alloc.budget` from a fresh analysis (for `--write-budget`).
-pub fn render_alloc_budget(roots: &[alloc_budget::AllocRootReport]) -> String {
-    let counts: Vec<(&str, usize)> = roots.iter().map(|r| (r.root, r.sites.len())).collect();
-    budget::render(&budget::ALLOC_BUDGET, &counts)
 }
 
 /// Render `xtask/taint.budget` from a fresh analysis (for `--write-budget`).
@@ -352,10 +269,6 @@ mod tests {
         ]
     }
 
-    /// The fixture has no allocation sites, so a zeroed alloc budget keeps
-    /// the alloc pass clean while the panic assertions run.
-    const ZERO_ALLOC: &str = "uhscm_core::pipeline\t0\nuhscm_core::trainer\t0\n";
-
     /// The fixture defines none of the taint source functions, so an
     /// empty taint budget stays clean.
     const NO_TAINT: &str = "";
@@ -363,7 +276,7 @@ mod tests {
     fn analyse(extra_panic: bool, budget: &str) -> Analysis {
         let ws = Workspace::from_sources(&fixture(extra_panic));
         let g = Graph::build(&ws);
-        run(&ws, &g, Some(budget), Some(ZERO_ALLOC), Some(NO_TAINT), None)
+        run(&ws, &g, Some(budget), Some(NO_TAINT))
     }
 
     #[test]
@@ -393,27 +306,10 @@ mod tests {
     }
 
     #[test]
-    fn all_seven_passes_report_timings() {
+    fn all_four_passes_report_timings() {
         let a = analyse(false, "uhscm_core::pipeline\t1\nuhscm_core::trainer\t1\n");
         let names: Vec<&str> = a.timings.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, PASS_NAMES);
-    }
-
-    #[test]
-    fn only_restricts_to_a_single_pass() {
-        let ws = Workspace::from_sources(&fixture(false));
-        let g = Graph::build(&ws);
-        let a = run(&ws, &g, None, None, None, Some("dead-export"));
-        let names: Vec<&str> = a.timings.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["dead-export"]);
-        // Skipped passes must not complain about their missing budgets.
-        assert!(a.findings.iter().all(|f| !f.rule.ends_with("-budget")), "no budget findings");
-
-        // Determinism alone still gets reachability witnesses without
-        // running the panic budget bookkeeping.
-        let d = run(&ws, &g, None, None, None, Some("determinism"));
-        let names: Vec<&str> = d.timings.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["determinism"]);
     }
 
     #[test]
@@ -462,18 +358,13 @@ mod tests {
     fn missing_budget_file_is_an_error() {
         let ws = Workspace::from_sources(&fixture(false));
         let g = Graph::build(&ws);
-        let a = run(&ws, &g, None, Some(ZERO_ALLOC), Some(NO_TAINT), None);
+        let a = run(&ws, &g, None, Some(NO_TAINT));
         assert!(a
             .findings
             .iter()
             .any(|f| f.rule == "panic-budget" && f.message.contains("missing")));
         let panic_ok = "uhscm_core::pipeline\t1\nuhscm_core::trainer\t1\n";
-        let b = run(&ws, &g, Some(panic_ok), None, Some(NO_TAINT), None);
-        assert!(b
-            .findings
-            .iter()
-            .any(|f| f.rule == "alloc-budget" && f.message.contains("missing")));
-        let c = run(&ws, &g, Some(panic_ok), Some(ZERO_ALLOC), None, None);
+        let c = run(&ws, &g, Some(panic_ok), None);
         assert!(c
             .findings
             .iter()
@@ -489,7 +380,5 @@ mod tests {
         let (parsed, errs) = budget::parse(&budget::PANIC_BUDGET, Some(&rendered));
         assert!(errs.is_empty());
         assert_eq!(parsed.unwrap().len(), 2);
-        let alloc_rendered = render_alloc_budget(&a.alloc_roots);
-        assert!(alloc_rendered.contains("uhscm_core::pipeline\t0"));
     }
 }

@@ -1,23 +1,31 @@
 //! Workspace call graph over the parsed items.
 //!
-//! Resolution is conservative and name-based (DESIGN.md §11): an
-//! ambiguous call produces an edge to *every* candidate, and calls into
-//! code we cannot see (std, masked macros) produce no edge. The graph is
-//! therefore an over-approximation of the true call relation wherever it
-//! has an edge, and an under-approximation only for externals — which is
-//! exactly the right bias for panic-reachability (our own panic sites are
-//! never missed) at the cost of some false positives.
+//! Resolution is conservative (DESIGN.md §11): an ambiguous call produces
+//! an edge to *every* candidate, and calls into code we cannot see (std,
+//! masked macros) produce no edge. Two facts narrow the candidates where
+//! Rust could not link a call anyway:
+//!
+//! * **the crate graph** — library and shim code calls only into crates
+//!   in its manifest's `[dependencies]` closure;
+//! * **declared types** — a method call on a receiver whose type is
+//!   declared in the file (field, `static`, parameter, `let name: T`)
+//!   resolves to that type's methods only.
+//!
+//! Everything else resolves by name. The graph is therefore an
+//! over-approximation of the true call relation wherever it has an edge,
+//! and an under-approximation only for externals — which is exactly the
+//! right bias for panic-reachability (our own panic sites are never
+//! missed) at the cost of some false positives.
 //!
 //! Node identity is `crate::module::[Type::]fn`. Crate/module paths are
 //! derived from file paths (`crates/eval/src/ranking.rs` →
 //! `uhscm_eval::ranking`); inline `mod`s extend the path. Test files and
-//! binaries get synthetic crate names (`tests_lint_gate`, `core_test_x`)
-//! so cross-crate liveness checks can tell them apart.
+//! binaries get synthetic crate names (`tests_lint_gate`, `core_test_x`).
 
 use crate::lexer::{self, MaskedFile};
-use crate::parser::{self, FnItem, ParsedFile};
-use crate::rules::Category;
-use std::collections::BTreeMap;
+use crate::parser::{self, Call, FnItem, ParsedFile, Tok};
+use crate::rules::{Category, Finding, Severity};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One scanned source file with everything derived from it.
 pub struct SourceFile {
@@ -34,37 +42,156 @@ pub struct SourceFile {
 /// All scanned files.
 pub struct Workspace {
     pub files: Vec<SourceFile>,
+    /// Crate name → the crates it may link against: itself plus the
+    /// transitive closure of its manifest's `[dependencies]`. Crates
+    /// without a manifest are absent and keep name-based edges.
+    deps: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl Workspace {
-    /// Build from `(workspace-relative path, source text)` pairs.
+    /// Build from `(workspace-relative path, text)` pairs: `.rs` sources,
+    /// plus `crates/*/Cargo.toml` and `shims/*/Cargo.toml` manifests
+    /// (other paths are ignored).
     pub fn from_sources<P: AsRef<str>, S: AsRef<str>>(sources: &[(P, S)]) -> Workspace {
-        let files = sources
-            .iter()
-            .map(|(p, s)| {
-                let path = p.as_ref().to_string();
+        let mut files = Vec::new();
+        let mut direct: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for (p, s) in sources {
+            let path = p.as_ref().to_string();
+            if let Some(krate) = manifest_crate(&path) {
+                direct.insert(krate, manifest_deps(s.as_ref()));
+            } else if path.ends_with(".rs") {
                 let masked = lexer::scan(s.as_ref());
                 let parsed = parser::parse(&masked);
                 let (crate_name, module) = crate_and_module(&path);
-                SourceFile {
+                files.push(SourceFile {
                     category: Category::of(&path),
                     path,
                     masked,
                     parsed,
                     crate_name,
                     module,
+                });
+            }
+        }
+        let mut deps = BTreeMap::new();
+        for krate in direct.keys() {
+            let mut closure = BTreeSet::from([krate.clone()]);
+            let mut stack = vec![krate.clone()];
+            while let Some(k) = stack.pop() {
+                for d in direct.get(&k).into_iter().flatten() {
+                    if closure.insert(d.clone()) {
+                        stack.push(d.clone());
+                    }
                 }
-            })
-            .collect();
-        Workspace { files }
+            }
+            deps.insert(krate.clone(), closure);
+        }
+        Workspace { files, deps }
     }
+
+    /// Whether code in `caller` can plausibly link against code in
+    /// `callee`. Categories prune name collisions across linkage
+    /// boundaries (the xtask binary never calls library crates, library
+    /// crates never call tests); between library and shim crates the
+    /// callee's crate must be in the caller's dependency closure.
+    pub fn may_call(&self, caller: &Node, callee: &Node) -> bool {
+        use Category::*;
+        match caller.category {
+            Xtask => callee.category == Xtask,
+            Library | Shim => {
+                matches!(callee.category, Library | Shim)
+                    && self
+                        .deps
+                        .get(&caller.crate_name)
+                        .is_none_or(|d| d.contains(&callee.crate_name))
+            }
+            Bench | RootFacade | Bin => {
+                matches!(callee.category, Library | Shim | Bench | RootFacade | Bin)
+            }
+            TestLike => callee.category != Xtask,
+        }
+    }
+
+    /// `crate-graph` errors: non-test library or shim code that names a
+    /// workspace crate (`uhscm_x::…`, `use uhscm_x`) missing from its
+    /// dependency closure. [`Self::may_call`] would drop every edge into
+    /// that crate, so the manifest reading must be fixed instead.
+    pub fn undeclared_crate_findings(&self) -> Vec<Finding> {
+        let crates: BTreeSet<&str> = self
+            .files
+            .iter()
+            .filter(|f| matches!(f.category, Category::Library | Category::Shim))
+            .map(|f| f.crate_name.as_str())
+            .collect();
+        let mut out = Vec::new();
+        for file in &self.files {
+            if !matches!(file.category, Category::Library | Category::Shim) {
+                continue;
+            }
+            let Some(closure) = self.deps.get(&file.crate_name) else { continue };
+            let toks = parser::tokenize(&file.masked.masked_lines);
+            for (i, t) in toks.iter().enumerate() {
+                let Tok::Ident(name) = &t.tok else { continue };
+                let prev = i.checked_sub(1).map(|j| &toks[j].tok);
+                let path_head = matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::ColonColon))
+                    && !matches!(prev, Some(Tok::ColonColon));
+                let used = matches!(prev, Some(Tok::Ident(u)) if u == "use");
+                if (path_head || used)
+                    && crates.contains(name.as_str())
+                    && !closure.contains(name)
+                    && !file.masked.in_test_region(t.line)
+                {
+                    out.push(Finding {
+                        rule: "crate-graph",
+                        path: file.path.clone(),
+                        line: t.line + 1,
+                        key: file.masked.raw_lines[t.line].trim().to_string(),
+                        message: format!(
+                            "`{name}` is not in the `[dependencies]` closure of {}'s manifest, \
+                             so the call graph links no call into it: declare the dependency",
+                            file.crate_name
+                        ),
+                        severity: Severity::Error,
+                        witness: Vec::new(),
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The crate a `crates/<name>/Cargo.toml` or `shims/<name>/Cargo.toml`
+/// manifest describes, named as [`crate_and_module`] names its sources.
+fn manifest_crate(path: &str) -> Option<String> {
+    let (top, rest) = path.split_once('/')?;
+    let dir = rest.strip_suffix("/Cargo.toml").filter(|d| !d.contains('/'))?;
+    match top {
+        "crates" => Some(format!("uhscm_{dir}")),
+        "shims" => Some(dir.to_string()),
+        _ => None,
+    }
+}
+
+/// The crate names of a manifest's `[dependencies]` table (`-` → `_`).
+fn manifest_deps(toml: &str) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    let mut in_deps = false;
+    for line in toml.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_deps = line == "[dependencies]";
+        } else if in_deps && !line.is_empty() && !line.starts_with('#') {
+            let key = line.split(['.', '=', ' ']).next().unwrap_or_default();
+            out.insert(key.replace('-', "_"));
+        }
+    }
+    out
 }
 
 /// Map a workspace-relative path to `(crate name, file-level module path)`.
 ///
 /// Integration tests, benches, examples and `src/bin` binaries are each
-/// their own crate in cargo's model; they get synthetic names here so the
-/// dead-export pass can count them as out-of-crate callers.
+/// their own crate in cargo's model; they get synthetic names here.
 pub fn crate_and_module(path: &str) -> (String, Vec<String>) {
     fn stem(path: &str) -> String {
         path.rsplit('/').next().unwrap_or(path).trim_end_matches(".rs").to_string()
@@ -124,19 +251,6 @@ pub fn crate_and_module(path: &str) -> (String, Vec<String>) {
     (format!("root_{}", stem(path)), Vec::new())
 }
 
-/// Whether code in `caller` can plausibly link against code in `callee`.
-/// This prunes name collisions across linkage boundaries (e.g. the xtask
-/// binary never calls library crates, library crates never call tests).
-pub fn may_call(caller: Category, callee: Category) -> bool {
-    use Category::*;
-    match caller {
-        Xtask => callee == Xtask,
-        Library | Shim => matches!(callee, Library | Shim),
-        Bench | RootFacade | Bin => matches!(callee, Library | Shim | Bench | RootFacade | Bin),
-        TestLike => callee != Xtask,
-    }
-}
-
 /// One function in the graph.
 pub struct Node {
     /// Index into `Workspace::files`.
@@ -172,7 +286,7 @@ impl Graph {
     }
 
     /// Build the graph: one node per parsed `fn`, edges by conservative
-    /// name resolution.
+    /// resolution (see the module doc).
     pub fn build(ws: &Workspace) -> Graph {
         let mut nodes = Vec::new();
         for (fi, file) in ws.files.iter().enumerate() {
@@ -200,6 +314,12 @@ impl Graph {
             let item = &ws.files[node.file].parsed.fns[node.fn_idx];
             by_name.entry(&item.name).or_default().push(ni);
         }
+        // Types with methods in the workspace, plus the std types whose
+        // methods are not: the heads a receiver can resolve by.
+        let mut known: BTreeSet<&str> = STD_TYPES.split_whitespace().collect();
+        for node in &nodes {
+            known.extend(ws.files[node.file].parsed.fns[node.fn_idx].impl_type.as_deref());
+        }
 
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); nodes.len()];
         for (ni, node) in nodes.iter().enumerate() {
@@ -226,8 +346,9 @@ impl Graph {
                 out.extend(targets.into_iter().map(|t| Edge { callee: t, line: call.line }));
             }
             for call in &item.method_calls {
-                let name = &call.segments[0];
-                let targets = resolve_method(ws, &nodes, &by_name, ni, name);
+                let heads = receiver_heads(file, item, call)
+                    .filter(|h| h.iter().all(|t| known.contains(t.as_str())));
+                let targets = resolve_method(ws, &nodes, &by_name, ni, &call.segments[0], heads);
                 out.extend(targets.into_iter().map(|t| Edge { callee: t, line: call.line }));
             }
             out.sort();
@@ -263,7 +384,7 @@ fn resolve_plain(
     let visible: Vec<usize> = cands
         .iter()
         .copied()
-        .filter(|&c| may_call(caller_node.category, nodes[c].category))
+        .filter(|&c| ws.may_call(caller_node, &nodes[c]))
         // Free functions only: a bare call never lands on a method.
         .filter(|&c| ws.files[nodes[c].file].parsed.fns[nodes[c].fn_idx].impl_type.is_none())
         .collect();
@@ -329,6 +450,14 @@ fn resolve_qualified(
             }
         }
     }
+    // Expand a `use`-bound first segment (`use uhscm_eval::ranking;
+    // ranking::f()`) before normalizing, since the import itself may start
+    // with `crate` (`use crate::similarity::Similarity; Similarity::f()`).
+    if let Some(full) = prefix.first().and_then(|s| uses.get(s.as_str())) {
+        let mut expanded: Vec<String> = full.to_vec();
+        expanded.extend(prefix[1..].iter().cloned());
+        prefix = expanded;
+    }
     match prefix.first().map(String::as_str) {
         Some("crate") => prefix[0] = caller_node.crate_name.clone(),
         Some("self") | Some("super") => {
@@ -336,18 +465,12 @@ fn resolve_qualified(
         }
         _ => {}
     }
-    // Expand a `use`-bound first segment (`use uhscm_eval::ranking; ranking::f()`).
-    if let Some(full) = prefix.first().and_then(|s| uses.get(s.as_str())) {
-        let mut expanded: Vec<String> = full.to_vec();
-        expanded.extend(prefix[1..].iter().cloned());
-        prefix = expanded;
-    }
 
     let Some(cands) = by_name.get(name.as_str()) else { return Vec::new() };
     cands
         .iter()
         .copied()
-        .filter(|&c| may_call(caller_node.category, nodes[c].category))
+        .filter(|&c| ws.may_call(caller_node, &nodes[c]))
         .filter(|&c| {
             let mut chain: Vec<String> = vec![nodes[c].crate_name.clone()];
             chain.extend(node_module(ws, nodes, c));
@@ -360,22 +483,52 @@ fn resolve_qualified(
         .collect()
 }
 
-/// Resolve a `.f()` method call: any method named `f` the caller may link
-/// against. Receiver types are unknown, so this is the broadest rule.
+/// Std types a receiver may be declared with. Their methods live outside
+/// the workspace, so a call on such a receiver reaches only the
+/// workspace's trait impls for them. A head that is neither one of these
+/// nor a workspace type (a generic parameter, an alias) resolves by name.
+const STD_TYPES: &str = "[ ( bool char str u8 u16 u32 u64 u128 usize i8 i16 i32 i64 i128 isize \
+    f32 f64 String Vec VecDeque Option Result BTreeMap BTreeSet HashMap HashSet Mutex RwLock \
+    Condvar AtomicBool AtomicU8 AtomicU32 AtomicU64 AtomicUsize TcpStream TcpListener File Path \
+    PathBuf Duration Instant SocketAddr JoinHandle Sender Receiver SyncSender Range";
+
+/// The declared type heads of a method call's receiver, or `None` when
+/// the call must resolve by name: the receiver is a call result or other
+/// expression, is not declared in the file, is declared as a `dyn`/`impl`
+/// trait, or is a name the calling function rebinds.
+fn receiver_heads<'w>(
+    file: &'w SourceFile,
+    item: &FnItem,
+    call: &Call,
+) -> Option<&'w BTreeSet<String>> {
+    let recv = call.recv.as_deref()?;
+    if !call.field_recv && item.rebound.contains(recv) {
+        return None;
+    }
+    file.parsed.heads(recv, call.field_recv).filter(|h| !h.contains("?"))
+}
+
+/// Resolve a `.f()` method call: the methods named `f` the caller may
+/// link against, of the receiver's declared types when `heads` is known
+/// (blanket impls apply to every type).
 fn resolve_method(
     ws: &Workspace,
     nodes: &[Node],
     by_name: &BTreeMap<&str, Vec<usize>>,
     caller: usize,
     name: &str,
+    heads: Option<&BTreeSet<String>>,
 ) -> Vec<usize> {
     let Some(cands) = by_name.get(name) else { return Vec::new() };
     let caller_node = &nodes[caller];
     cands
         .iter()
         .copied()
-        .filter(|&c| may_call(caller_node.category, nodes[c].category))
-        .filter(|&c| ws.files[nodes[c].file].parsed.fns[nodes[c].fn_idx].impl_type.is_some())
+        .filter(|&c| ws.may_call(caller_node, &nodes[c]))
+        .filter(|&c| {
+            let ty = &ws.files[nodes[c].file].parsed.fns[nodes[c].fn_idx].impl_type;
+            ty.as_ref().is_some_and(|ty| ty == "_" || heads.is_none_or(|h| h.contains(ty)))
+        })
         .collect()
 }
 
@@ -538,6 +691,112 @@ mod tests {
         let src = "pub fn run() { log!(\"x\", compute()); }\nfn compute() {}\n";
         let (_, g) = graph(&[("crates/a/src/lib.rs", src)]);
         assert_eq!(callees(&g, "uhscm_a::run"), vec!["uhscm_a::compute"]);
+    }
+
+    #[test]
+    fn use_bound_type_from_crate_path_resolves() {
+        // The import starts with `crate`: it must be expanded before the
+        // `crate` prefix is normalized, or the call gets no edge.
+        let (_, g) = graph(&[
+            (
+                "crates/a/src/lib.rs",
+                "use crate::sim::Similarity;\npub fn run() { Similarity::cosine(); }\n",
+            ),
+            (
+                "crates/a/src/sim.rs",
+                "pub struct Similarity;\nimpl Similarity { pub fn cosine() {} }\n",
+            ),
+        ]);
+        assert_eq!(callees(&g, "uhscm_a::run"), vec!["uhscm_a::sim::Similarity::cosine"]);
+    }
+
+    /// `a` depends on `b` and `b` on `c`; `d` is only a dev-dependency of
+    /// `a`, and `e` has no manifest. `c` and `d` both define `T::len`,
+    /// which `e::run` calls by name.
+    fn crate_graph_fixture(a_src: &str) -> Workspace {
+        let method = |krate: &str| {
+            format!("pub struct T;\nimpl T {{ pub fn len(&self) {{}} }}\nfn {krate}() {{}}\n")
+        };
+        let (c, d) = (method("c"), method("d"));
+        Workspace::from_sources(&[
+            (
+                "crates/a/Cargo.toml",
+                "[package]\nname = \"uhscm-a\"\n\n[dependencies]\nuhscm-b.workspace = true\n\n\
+                 [dev-dependencies]\nuhscm-d.workspace = true\n",
+            ),
+            ("crates/b/Cargo.toml", "[dependencies]\n# a comment\nuhscm-c = { path = \"../c\" }\n"),
+            ("crates/c/Cargo.toml", "[dependencies]\n"),
+            ("crates/d/Cargo.toml", "[dependencies]\n"),
+            ("crates/a/src/lib.rs", a_src),
+            ("crates/b/src/lib.rs", "pub fn b() {}\n"),
+            ("crates/c/src/lib.rs", &c),
+            ("crates/d/src/lib.rs", &d),
+            ("crates/e/src/lib.rs", "pub fn run() { make().len(); }\n"),
+        ])
+    }
+
+    #[test]
+    fn library_edges_stay_inside_the_dependency_closure() {
+        let ws = crate_graph_fixture("pub fn run() { make().len(); }\n");
+        let g = Graph::build(&ws);
+        // `c` is a transitive dependency of `a`; library code cannot call
+        // a dev-dependency.
+        assert_eq!(callees(&g, "uhscm_a::run"), vec!["uhscm_c::T::len"]);
+        // A crate without a manifest keeps every by-name edge.
+        assert_eq!(callees(&g, "uhscm_e::run"), vec!["uhscm_c::T::len", "uhscm_d::T::len"]);
+        assert!(ws.undeclared_crate_findings().is_empty());
+    }
+
+    #[test]
+    fn naming_a_crate_outside_the_closure_is_an_error() {
+        let src = "use uhscm_c::T;\npub fn run() { uhscm_d::d(); }\n\
+                   #[cfg(test)]\nmod tests {\n    use uhscm_d::T;\n}\n";
+        let ws = crate_graph_fixture(src);
+        let findings = ws.undeclared_crate_findings();
+        let lines: Vec<(usize, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
+        // Only the non-test mention of `uhscm_d` (a dev-dependency) errors.
+        assert_eq!(lines, vec![(2, "crate-graph")]);
+        assert_eq!(findings[0].severity, Severity::Error);
+        assert!(findings[0].message.contains("uhscm_d"), "{}", findings[0].message);
+    }
+
+    const TYPES: &str = "pub struct Idx;\nimpl Idx { pub fn insert(&self) {} pub fn load(&self) {} }\n\
+                         pub struct Set;\nimpl Set { pub fn insert(&self) {} pub fn load(&self) {} }\n";
+
+    #[test]
+    fn declared_receivers_resolve_to_their_type() {
+        let src = "static STATE: AtomicU8 = AtomicU8::new(0);\n\
+                   pub struct S { set: Arc<Set>, tomb: BTreeSet<u32> }\n\
+                   impl S {\n\
+                       pub fn param(idx: &Idx) { idx.insert(); }\n\
+                       pub fn field(&self) { self.set.insert(); self.tomb.insert(); }\n\
+                       pub fn stat() { STATE.load(); }\n\
+                   }\n";
+        let (_, g) = graph(&[("crates/a/src/lib.rs", src), ("crates/a/src/types.rs", TYPES)]);
+        assert_eq!(callees(&g, "uhscm_a::S::param"), vec!["uhscm_a::types::Idx::insert"]);
+        assert_eq!(callees(&g, "uhscm_a::S::field"), vec!["uhscm_a::types::Set::insert"]);
+        assert!(callees(&g, "uhscm_a::S::stat").is_empty());
+    }
+
+    #[test]
+    fn generic_rebound_and_literal_receivers_resolve_by_name() {
+        // The field `G.idx` does not declare the parameter `idx`.
+        let src = "pub struct G { idx: Idx }\n\
+                   pub fn generic<T: Bound>(idx: T) { idx.insert(); }\n\
+                   pub fn rebound(set: &Set) { let set = make(); set.insert(); }\n\
+                   pub fn closure(set: &Set) { each(|set| set.insert()); }\n";
+        // `.tomb` appears only in a struct literal, which declares nothing.
+        let literal = "pub fn literal() { let h = H { tomb: Set }; h.tomb.insert(); }\n";
+        let (_, g) = graph(&[
+            ("crates/a/src/lib.rs", src),
+            ("crates/a/src/lit.rs", literal),
+            ("crates/a/src/types.rs", TYPES),
+        ]);
+        let both = vec!["uhscm_a::types::Idx::insert", "uhscm_a::types::Set::insert"];
+        for f in ["generic", "rebound", "closure"] {
+            assert_eq!(callees(&g, &format!("uhscm_a::{f}")), both, "{f}");
+        }
+        assert_eq!(callees(&g, "uhscm_a::lit::literal"), both);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Hand-rolled JSON rendering for `lint --json` (std-only, no serde).
 //!
-//! Schema `uhscm-lint/3` (v2 + the taint-flow pass):
+//! Schema `uhscm-lint/4`:
 //!
 //! ```text
 //! {
-//!   "schema": "uhscm-lint/3",
+//!   "schema": "uhscm-lint/4",
 //!   "files_scanned": N,
-//!   "analyses": ["panic-reachability", "determinism", "dead-export",
-//!                "lock-order", "blocking-under-lock", "alloc-budget",
+//!   "analyses": ["panic-reachability", "lock-order", "blocking-under-lock",
 //!                "taint-flow"],
 //!   "findings": [{rule, severity, path, line, message, allowed,
 //!                 witness: [{fn, path, line}]}],
@@ -15,11 +14,6 @@
 //!     "budget_path": "xtask/panic.budget",
 //!     "roots": [{root, budget, reachable_fns, reachable_sites, status,
 //!                sites: [{kind, path, line, fn, witness: [...]}]}]
-//!   },
-//!   "alloc_budget": {
-//!     "budget_path": "xtask/alloc.budget",
-//!     "roots": [{root, budget, reachable_fns, reachable_sites, status,
-//!                sites: [{kind, path, line, fn}]}]
 //!   },
 //!   "taint_budget": {
 //!     "budget_path": "xtask/taint.budget",
@@ -31,17 +25,13 @@
 //! }
 //! ```
 //!
-//! `analyses` is the schema's full pass set; under `lint --only <pass>`
-//! the `timings` array reflects which passes actually ran.
-//! Alloc sites carry no per-site witness (the vocabulary is too dense);
-//! the over-budget finding carries one chain instead. Taint sites carry
-//! both their originating `source` function and the source→sink chain.
-//! `findings[*].allowed` entries are baselined in `xtask/lint.allow`;
-//! `summary.errors` counts only non-allowed errors (the exit-code signal).
+//! Taint sites carry both their originating `source` function and the
+//! source→sink chain. `findings[*].allowed` entries are baselined in
+//! `xtask/lint.allow`; `summary.errors` counts only non-allowed errors
+//! (the exit-code signal).
 
-use crate::analysis::alloc_budget::AllocRootReport;
 use crate::analysis::taint::TaintRootReport;
-use crate::analysis::RootReport;
+use crate::analysis::{RootReport, PASS_NAMES};
 use crate::rules::{Finding, WitnessStep};
 
 /// Escape a string for a JSON string literal.
@@ -82,9 +72,8 @@ pub struct Report<'a> {
     pub files_scanned: usize,
     pub findings: &'a [(&'a Finding, bool)],
     pub roots: &'a [RootReport],
-    pub alloc_roots: &'a [AllocRootReport],
     pub taint_roots: &'a [TaintRootReport],
-    /// `(analysis name, wall-time nanos)` per pass that ran.
+    /// `(analysis name, wall-time nanos)` per pass.
     pub timings: &'a [(&'static str, u128)],
     pub errors: usize,
     pub warnings: usize,
@@ -92,12 +81,10 @@ pub struct Report<'a> {
 }
 
 pub fn render(r: &Report) -> String {
-    let mut out = String::from("{\n  \"schema\": \"uhscm-lint/3\",\n");
+    let mut out = String::from("{\n  \"schema\": \"uhscm-lint/4\",\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", r.files_scanned));
-    out.push_str(
-        "  \"analyses\": [\"panic-reachability\", \"determinism\", \"dead-export\", \
-         \"lock-order\", \"blocking-under-lock\", \"alloc-budget\", \"taint-flow\"],\n",
-    );
+    let analyses: Vec<String> = PASS_NAMES.iter().map(|p| format!("\"{p}\"")).collect();
+    out.push_str(&format!("  \"analyses\": [{}],\n", analyses.join(", ")));
 
     let findings: Vec<String> = r
         .findings
@@ -152,40 +139,6 @@ pub fn render(r: &Report) -> String {
     out.push_str(&format!(
         "  \"panic_budget\": {{\"budget_path\": \"xtask/panic.budget\", \"roots\": [\n{}\n  ]}},\n",
         roots.join(",\n")
-    ));
-
-    let alloc_roots: Vec<String> = r
-        .alloc_roots
-        .iter()
-        .map(|root| {
-            let sites: Vec<String> = root
-                .sites
-                .iter()
-                .map(|s| {
-                    format!(
-                        "      {{\"kind\":\"{}\",\"path\":\"{}\",\"line\":{},\"fn\":\"{}\"}}",
-                        s.kind.label(),
-                        esc(&s.path),
-                        s.line,
-                        esc(&s.fn_qualified)
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\"root\":\"{}\",\"budget\":{},\"reachable_fns\":{},\
-                 \"reachable_sites\":{},\"status\":\"{}\",\"sites\":[\n{}\n    ]}}",
-                esc(root.root),
-                root.budget.map(|b| b.to_string()).unwrap_or_else(|| "null".to_string()),
-                root.reachable_fns,
-                root.sites.len(),
-                root.status.label(),
-                sites.join(",\n")
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"alloc_budget\": {{\"budget_path\": \"xtask/alloc.budget\", \"roots\": [\n{}\n  ]}},\n",
-        alloc_roots.join(",\n")
     ));
 
     let taint_roots: Vec<String> = r
@@ -245,10 +198,9 @@ pub fn render(r: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::alloc_budget::{AllocRootReport, AllocSiteReport};
     use crate::analysis::taint::{TaintRootReport, TaintSiteReport};
     use crate::analysis::{BudgetStatus, RootReport, SiteReport};
-    use crate::parser::{AllocKind, PanicKind, SinkKind};
+    use crate::parser::{PanicKind, SinkKind};
     use crate::rules::{Finding, Severity, WitnessStep};
 
     #[test]
@@ -279,18 +231,6 @@ mod tests {
             }],
             status: BudgetStatus::Ok,
         }];
-        let alloc_roots = [AllocRootReport {
-            root: "uhscm_core::pipeline",
-            budget: Some(4),
-            reachable_fns: 5,
-            sites: vec![AllocSiteReport {
-                kind: AllocKind::Collect,
-                path: "crates/a/src/lib.rs".to_string(),
-                line: 9,
-                fn_qualified: "uhscm_a::f".to_string(),
-            }],
-            status: BudgetStatus::Under,
-        }];
         let taint_roots = [TaintRootReport {
             root: "wire",
             budget: Some(3),
@@ -313,14 +253,13 @@ mod tests {
             files_scanned: 7,
             findings: &[(&finding, true)],
             roots: &roots,
-            alloc_roots: &alloc_roots,
             taint_roots: &taint_roots,
-            timings: &[("panic-reachability", 1200), ("alloc-budget", 800)],
+            timings: &[("panic-reachability", 1200), ("taint-flow", 800)],
             errors: 0,
             warnings: 0,
             allowlisted: 1,
         });
-        assert!(out.contains("\"schema\": \"uhscm-lint/3\""));
+        assert!(out.contains("\"schema\": \"uhscm-lint/4\""));
         assert!(out.contains("\"lock-order\""));
         assert!(out.contains("\"blocking-under-lock\""));
         assert!(out.contains("\"taint-flow\""));
@@ -328,14 +267,11 @@ mod tests {
         assert!(out.contains("\"allowed\":true"));
         assert!(out.contains("\"status\":\"ok\""));
         assert!(out.contains("\"kind\":\"index\""));
-        assert!(out.contains("\"alloc_budget\""));
-        assert!(out.contains("\"kind\":\"collect\""));
-        assert!(out.contains("\"status\":\"under\""));
         assert!(out.contains("\"taint_budget\""));
         assert!(out.contains("\"kind\":\"cast\""));
         assert!(out.contains("\"tainted_fns\":6"));
         assert!(out.contains("\"source\":\"uhscm_serve::protocol::decode_request\""));
-        assert!(out.contains("{\"analysis\":\"alloc-budget\",\"nanos\":800}"));
+        assert!(out.contains("{\"analysis\":\"taint-flow\",\"nanos\":800}"));
         // The obs trace parser is the reference JSON reader in this
         // workspace; structural validity is asserted end-to-end in
         // tests/lint_gate.rs. Here: balanced braces as a smoke check.
@@ -348,7 +284,6 @@ mod tests {
             files_scanned: 0,
             findings: &[],
             roots: &[],
-            alloc_roots: &[],
             taint_roots: &[],
             timings: &[],
             errors: 0,

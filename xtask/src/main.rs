@@ -3,14 +3,14 @@
 //! ```text
 //! cargo run -p uhscm-xtask -- lint                    # check, exit 1 on errors
 //! cargo run -p uhscm-xtask -- lint --json             # machine-readable report
-//! cargo run -p uhscm-xtask -- lint --only <pass>      # run a single semantic pass
 //! cargo run -p uhscm-xtask -- lint --write-baseline   # regenerate xtask/lint.allow
 //! cargo run -p uhscm-xtask -- lint --write-budget     # regenerate the budget files
 //! cargo run -p uhscm-xtask -- ci                      # fmt-check + lint + tier-1 tests
 //! ```
 //!
 //! The `lint` command scans every `.rs` file in the workspace (skipping
-//! `target/`) with two layers of checks:
+//! `target/`), plus the `crates/*` and `shims/*` manifests, with two
+//! layers of checks:
 //!
 //! **Textual rules** on the masked source (see [`rules`]):
 //!
@@ -22,21 +22,20 @@
 //! * `no-panic-macro` — no `panic!`/`todo!`/`unimplemented!`/`dbg!`/`println!`
 //!   in library crates
 //! * `panics-doc`     — `pub fn`s that assert must document `# Panics`
+//! * `no-hash-collections` — no `HashMap`/`HashSet` in non-test library
+//!   code: their iteration order differs between runs
+//! * `crate-graph`    — a library file names a workspace crate that its
+//!   manifest's `[dependencies]` closure lacks; never allowlistable
 //!
 //! **Semantic passes** on the workspace call graph (see [`parser`],
 //! [`callgraph`], [`analysis`]):
 //!
 //! * `panic-budget`   — panic sites reachable from hot-path roots, checked
 //!   against `xtask/panic.budget`; growth fails, never allowlistable
-//! * `hash-iter`      — `HashMap`/`HashSet` iteration reachable from a root
-//! * `dead-export`    — `pub fn`s with no out-of-crate caller (warning)
 //! * `lock-order`     — acquired-while-held cycles and same-lock re-entry;
 //!   never allowlistable
 //! * `lock-blocking`  — blocking I/O / sleeps / joins reachable while a
 //!   guard is live (allowlistable: intentional `Condvar::wait`)
-//! * `alloc-budget`   — allocation sites reachable from hot-path roots,
-//!   checked against `xtask/alloc.budget`; growth fails, never
-//!   allowlistable
 //! * `taint-budget`   — untrusted wire/CLI/bundle values flowing to
 //!   index/cast/arith/alloc-size sinks, checked against
 //!   `xtask/taint.budget`; growth fails, never allowlistable
@@ -44,16 +43,14 @@
 //! Accepted findings live in `xtask/lint.allow` with mandatory one-line
 //! justifications; stale, duplicate or unknown-rule entries fail the run.
 //! Diagnostics are rustc-style `file:line` so editors can jump to them;
-//! `--json` emits the `uhscm-lint/3` report (schema in [`json`]) on stdout
-//! with diagnostics moved to stderr. `--only <pass>` (pass names as in
-//! [`analysis::PASS_NAMES`]) runs one semantic pass for fast iteration;
-//! `ci` always runs the full set.
+//! `--json` emits the `uhscm-lint/4` report (schema in [`json`]) on stdout
+//! with diagnostics moved to stderr.
 //!
 //! The `ci` command chains the full tier-1 gate: `cargo fmt --check`, the
-//! lint above (in-process, writing `results/lint.json`), `cargo build
-//! --release`, `cargo test --workspace`, the kernel-regression gate,
-//! cross-process smokes of the online retrieval service and the segment
-//! store (see [`smoke`]), and the benchmark's smoke test
+//! lint above (in-process, writing the pass timings to `BENCH_lint.json`),
+//! `cargo build --release`, `cargo test --workspace`, the kernel-regression
+//! gate, cross-process smokes of the online retrieval service and the
+//! segment store (see [`smoke`]), and the benchmark's smoke test
 //! (`perfbench/tests/smoke.rs`).
 
 mod allowlist;
@@ -76,41 +73,18 @@ fn main() -> ExitCode {
                 write_baseline: false,
                 write_budget: false,
                 json_stdout: false,
-                json_file: None,
                 bench_file: None,
-                only: None,
             };
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
+            for arg in &args[1..] {
+                match arg.as_str() {
                     "--write-baseline" => opts.write_baseline = true,
                     "--write-budget" => opts.write_budget = true,
                     "--json" => opts.json_stdout = true,
-                    "--only" => {
-                        let Some(pass) = args.get(i + 1) else {
-                            eprintln!("uhscm-xtask: --only needs a pass name");
-                            return usage();
-                        };
-                        if !analysis::PASS_NAMES.contains(&pass.as_str()) {
-                            eprintln!(
-                                "uhscm-xtask: unknown pass `{pass}` (expected one of: {})",
-                                analysis::PASS_NAMES.join(", ")
-                            );
-                            return usage();
-                        }
-                        opts.only = Some(pass.clone());
-                        i += 1;
-                    }
                     bad => {
                         eprintln!("uhscm-xtask: unknown lint flag `{bad}`");
                         return usage();
                     }
                 }
-                i += 1;
-            }
-            if opts.only.is_some() && (opts.write_budget || opts.write_baseline) {
-                eprintln!("uhscm-xtask: --only cannot be combined with --write-*: baselines and budgets need the full pass set");
-                return usage();
             }
             ExitCode::from(lint(&opts))
         }
@@ -131,25 +105,22 @@ fn usage() -> ExitCode {
          \n\
          commands:\n\
          \x20 lint                  scan workspace sources; exit 1 on errors\n\
-         \x20 lint --json           print the uhscm-lint/3 JSON report on stdout\n\
+         \x20 lint --json           print the uhscm-lint/4 JSON report on stdout\n\
          \x20                       (diagnostics go to stderr)\n\
-         \x20 lint --only <pass>    run a single semantic pass (panic-reachability,\n\
-         \x20                       determinism, dead-export, lock-order,\n\
-         \x20                       blocking-under-lock, alloc-budget, taint-flow)\n\
          \x20 lint --write-baseline rewrite xtask/lint.allow from current findings,\n\
          \x20                       keeping existing justifications\n\
-         \x20 lint --write-budget   rewrite xtask/panic.budget, xtask/alloc.budget\n\
-         \x20                       and xtask/taint.budget from the current counts\n\
-         \x20 ci                    fmt-check + lint (writes results/lint.json and\n\
-         \x20                       BENCH_lint.json) + release build + workspace\n\
-         \x20                       tests + kernel-regression gate + serve smoke +\n\
+         \x20 lint --write-budget   rewrite xtask/panic.budget and xtask/taint.budget\n\
+         \x20                       from the current counts\n\
+         \x20 ci                    fmt-check + lint (writes BENCH_lint.json) +\n\
+         \x20                       release build + workspace tests +\n\
+         \x20                       kernel-regression gate + serve smoke +\n\
          \x20                       scale smoke + benchmark smoke (the full gate)"
     );
     ExitCode::from(2)
 }
 
 /// The chained tier-1 gate: rustfmt check, the in-process linter (which
-/// also writes `results/lint.json`), `cargo build --release`, every
+/// also writes `BENCH_lint.json`), `cargo build --release`, every
 /// workspace member's tests (`cargo test --workspace`), the
 /// kernel-regression gate (tuned kernels must stay bitwise identical to —
 /// and no slower than — their naive references), the serve and scale
@@ -167,14 +138,12 @@ fn ci() -> ExitCode {
     ) {
         return ExitCode::from(1);
     }
-    println!("ci [2/8]: lint (report: results/lint.json, timings: BENCH_lint.json)");
+    println!("ci [2/8]: lint (timings: BENCH_lint.json)");
     let opts = LintOpts {
         write_baseline: false,
         write_budget: false,
         json_stdout: false,
-        json_file: Some(root.join("results/lint.json")),
         bench_file: Some(root.join("BENCH_lint.json")),
-        only: None,
     };
     let lint_code = lint(&opts);
     if lint_code != 0 {
@@ -256,19 +225,15 @@ struct LintOpts {
     write_budget: bool,
     /// Print the JSON report on stdout; diagnostics move to stderr.
     json_stdout: bool,
-    /// Also write the JSON report here (used by `ci`).
-    json_file: Option<PathBuf>,
     /// Write per-pass wall-times here (used by `ci` → `BENCH_lint.json`).
     bench_file: Option<PathBuf>,
-    /// Run only this semantic pass (a name from [`analysis::PASS_NAMES`]).
-    only: Option<String>,
 }
 
 /// Run the linter; returns the process exit code (0 = clean).
 fn lint(opts: &LintOpts) -> u8 {
     let root = workspace_root();
     let mut files = Vec::new();
-    collect_rs(&root, &root, &mut files);
+    collect_sources(&root, &root, &mut files);
     files.sort();
 
     // Diagnostics go to stderr when stdout carries the JSON report.
@@ -289,9 +254,9 @@ fn lint(opts: &LintOpts) -> u8 {
         }
     }
 
-    // Layer 1: textual rules.
-    let mut findings = Vec::new();
+    // Layer 1: textual rules, and the crate-graph check on the manifests.
     let ws = callgraph::Workspace::from_sources(&sources);
+    let mut findings = ws.undeclared_crate_findings();
     for file in &ws.files {
         findings.extend(rules::check_file(&file.path, &file.masked));
     }
@@ -300,18 +265,9 @@ fn lint(opts: &LintOpts) -> u8 {
     let graph = callgraph::Graph::build(&ws);
     let budget_path = root.join("xtask/panic.budget");
     let budget_src = std::fs::read_to_string(&budget_path).ok();
-    let alloc_budget_path = root.join("xtask/alloc.budget");
-    let alloc_budget_src = std::fs::read_to_string(&alloc_budget_path).ok();
     let taint_budget_path = root.join("xtask/taint.budget");
     let taint_budget_src = std::fs::read_to_string(&taint_budget_path).ok();
-    let analysis = analysis::run(
-        &ws,
-        &graph,
-        budget_src.as_deref(),
-        alloc_budget_src.as_deref(),
-        taint_budget_src.as_deref(),
-        opts.only.as_deref(),
-    );
+    let analysis = analysis::run(&ws, &graph, budget_src.as_deref(), taint_budget_src.as_deref());
 
     if opts.write_budget {
         let rendered = analysis::render_budget(&analysis.roots);
@@ -324,17 +280,6 @@ fn lint(opts: &LintOpts) -> u8 {
             budget_path.display(),
             analysis.roots.len(),
             analysis.roots.iter().map(|r| r.sites.len()).sum::<usize>()
-        );
-        let rendered = analysis::render_alloc_budget(&analysis.alloc_roots);
-        if let Err(e) = std::fs::write(&alloc_budget_path, rendered) {
-            eprintln!("uhscm-xtask: cannot write {}: {e}", alloc_budget_path.display());
-            return 2;
-        }
-        diag!(
-            "wrote {} ({} roots, {} reachable allocation sites)",
-            alloc_budget_path.display(),
-            analysis.alloc_roots.len(),
-            analysis.alloc_roots.iter().map(|r| r.sites.len()).sum::<usize>()
         );
         let rendered = analysis::render_taint_budget(&analysis.taint_roots);
         if let Err(e) = std::fs::write(&taint_budget_path, rendered) {
@@ -421,7 +366,6 @@ fn lint(opts: &LintOpts) -> u8 {
         files_scanned: files.len(),
         findings: &classified,
         roots: &analysis.roots,
-        alloc_roots: &analysis.alloc_roots,
         taint_roots: &analysis.taint_roots,
         timings: &analysis.timings,
         errors: failures,
@@ -430,15 +374,6 @@ fn lint(opts: &LintOpts) -> u8 {
     });
     if opts.json_stdout {
         print!("{report}");
-    }
-    if let Some(path) = &opts.json_file {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, &report) {
-            eprintln!("uhscm-xtask: cannot write {}: {e}", path.display());
-            return 2;
-        }
     }
     if let Some(path) = &opts.bench_file {
         let passes: Vec<String> = analysis
@@ -478,9 +413,9 @@ fn lint(opts: &LintOpts) -> u8 {
     }
 }
 
-/// Recursively collect workspace-relative paths of `.rs` files, skipping
-/// build output and VCS metadata.
-fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) {
+/// Recursively collect workspace-relative paths of `.rs` files and
+/// `Cargo.toml` manifests, skipping build output and VCS metadata.
+fn collect_sources(root: &Path, dir: &Path, out: &mut Vec<String>) {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(_) => return,
@@ -493,8 +428,8 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) {
             if name == "target" || name == ".git" {
                 continue;
             }
-            collect_rs(root, &path, out);
-        } else if name.ends_with(".rs") {
+            collect_sources(root, &path, out);
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             if let Ok(rel) = path.strip_prefix(root) {
                 out.push(rel.to_string_lossy().replace('\\', "/"));
             }

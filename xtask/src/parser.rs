@@ -14,13 +14,15 @@
 //! * intrinsic **panic sites**: `.unwrap()` / `.expect(`, panicking
 //!   macros, slice/collection indexing `x[..]`, and integer `/` / `%`
 //!   with a non-literal divisor;
-//! * `HashMap`/`HashSet` bindings (fields and `let`s) plus iteration
-//!   calls over them, for the determinism audit;
-//! * lock bindings (`Mutex`/`RwLock`/`Condvar` fields, statics, lets and
-//!   params), lock acquisitions with their guard bindings, blocking
+//! * **declared types**: the type head of every struct field, `static`,
+//!   fn parameter and `let name: T` in non-test code (see
+//!   [`ParsedFile::decls`]), plus the names each body rebinds without an
+//!   annotation, so the call graph can resolve `recv.f(..)` by the
+//!   receiver's type;
+//! * lock acquisitions (`.lock()`/`.read()`/`.write()` on a receiver
+//!   declared `Mutex`/`RwLock`) with their guard bindings, and blocking
 //!   operations (socket I/O, `thread::sleep`, channel `recv`, thread
-//!   `join`, `Condvar::wait*`) and allocation sites, for the concurrency
-//!   and allocation-budget passes;
+//!   `join`, `Condvar::wait*`), for the concurrency passes;
 //! * taint plumbing for [`crate::analysis::taint`]: signature parameter
 //!   names, name-level dataflow binds (`let` initializers, `match`-arm
 //!   destructuring against the scrutinee, `for pat in expr`), and **sink
@@ -109,27 +111,14 @@ pub struct Call {
     /// `Some(name)` when the call result is let-bound (`let g = f(..)`,
     /// `if let Some(w) = f(..)`); the innermost pattern identifier.
     pub bound: Option<String>,
-    /// `Some(name)` for method calls whose receiver is a bare identifier
-    /// (`recv.f(..)`); `None` for free calls, macros and chained
-    /// receivers. Taint treats the receiver as an extra argument.
+    /// `Some(name)` for method calls whose receiver is an identifier
+    /// (`recv.f(..)`, `x.recv.f(..)`); `None` for free calls, macros and
+    /// receivers that are call results or other expressions. Taint treats
+    /// the receiver as an extra argument.
     pub recv: Option<String>,
-}
-
-/// Iteration over a `HashMap`/`HashSet` binding (determinism audit input).
-#[derive(Debug, Clone)]
-pub struct HashIter {
-    pub binding: String,
-    /// `iter` / `keys` / `values` / `into_iter` / `drain` / `for-in`.
-    pub method: String,
-    pub line: usize,
-}
-
-/// Which lock primitive a binding was declared with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LockClass {
-    Mutex,
-    RwLock,
-    Condvar,
+    /// Whether `recv` is a field access (`x.recv.f(..)`), looked up under
+    /// `.recv` in [`ParsedFile::decls`].
+    pub field_recv: bool,
 }
 
 /// How a guard is obtained at an acquisition site.
@@ -174,43 +163,6 @@ pub struct BlockingSite {
     /// `Condvar::wait*` atomically releases its guard, so the
     /// blocking-under-lock pass treats it as intentional-but-reportable.
     pub condvar_wait: bool,
-}
-
-/// Why a line allocates (the curated hot-path allocation vocabulary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AllocKind {
-    VecNew,
-    WithCapacity,
-    VecMacro,
-    Clone,
-    ToVec,
-    Collect,
-    FormatMacro,
-    StringFrom,
-    BoxNew,
-}
-
-impl AllocKind {
-    pub fn label(self) -> &'static str {
-        match self {
-            AllocKind::VecNew => "vec-new",
-            AllocKind::WithCapacity => "with-capacity",
-            AllocKind::VecMacro => "vec-macro",
-            AllocKind::Clone => "clone",
-            AllocKind::ToVec => "to-vec",
-            AllocKind::Collect => "collect",
-            AllocKind::FormatMacro => "format",
-            AllocKind::StringFrom => "string-from",
-            AllocKind::BoxNew => "box-new",
-        }
-    }
-}
-
-/// An allocation site inside one function body (0-based line).
-#[derive(Debug, Clone)]
-pub struct AllocSite {
-    pub kind: AllocKind,
-    pub line: usize,
 }
 
 /// What an untrusted value must not reach unchecked (taint sinks).
@@ -267,10 +219,10 @@ pub struct FnItem {
     /// Inline `mod` path within the file (file-level modules are derived
     /// from the path by the call graph).
     pub module: Vec<String>,
-    /// `Some(type)` when declared inside `impl Type` / `impl Trait for Type`.
+    /// `Some(type)` when declared inside `impl Type` / `impl Trait for Type`;
+    /// `Some("_")` for a blanket impl over a generic parameter
+    /// (`impl<T: Bound> Trait for T`, `.. for &mut T`).
     pub impl_type: Option<String>,
-    /// Whether the enclosing impl is a trait impl (`impl T for U`).
-    pub trait_impl: bool,
     pub is_pub: bool,
     /// 0-based line of the `fn` keyword.
     pub line: usize,
@@ -282,7 +234,6 @@ pub struct FnItem {
     /// Macro invocations (`f!(..)`), single-segment.
     pub macros: Vec<Call>,
     pub panic_sites: Vec<PanicSite>,
-    pub hash_iters: Vec<HashIter>,
     /// 0-based line of the body's closing `}` (used for guard-extent
     /// scans; equals `line` until the body closes).
     pub end_line: usize,
@@ -291,9 +242,13 @@ pub struct FnItem {
     pub ret_guard: bool,
     pub lock_sites: Vec<LockSite>,
     pub blocking_sites: Vec<BlockingSite>,
-    pub alloc_sites: Vec<AllocSite>,
     /// Signature parameter names (`self` excluded), in declaration order.
     pub params: Vec<String>,
+    /// Names the body binds without a type annotation: unannotated `let`
+    /// and `if let`/`while let` patterns, `for` patterns, match arms and
+    /// closure parameters. A receiver named here resolves by name, since
+    /// the binding may shadow its declared type.
+    pub rebound: BTreeSet<String>,
     /// Name-level dataflow binds for taint propagation.
     pub binds: Vec<TaintBind>,
     /// Taint sinks with their feeding identifiers.
@@ -306,12 +261,25 @@ pub struct ParsedFile {
     /// `use` imports as `(bound name, full segment path)`.
     pub uses: Vec<(String, Vec<String>)>,
     pub fns: Vec<FnItem>,
-    /// Names bound to a `HashMap`/`HashSet` (struct fields and lets).
-    pub hash_bindings: BTreeSet<String>,
-    /// Names bound to a lock primitive (fields, statics, lets, params).
-    pub lock_bindings: BTreeMap<String, LockClass>,
-    /// Names bound to a `TcpStream`/`TcpListener`.
-    pub net_bindings: BTreeSet<String>,
+    /// Declared type heads per name, from non-test code: struct fields
+    /// under `.name`; `static`s, fn parameters and `let name: T` under
+    /// `name`. A head is the last path segment of the type after `&`,
+    /// `mut` and `Arc`/`Rc`/`Box` wrappers (`state: Arc<Mutex<S>>` gives
+    /// `Mutex`); `?` marks a `dyn`/`impl` trait, `Self` outside an impl or
+    /// an associated type; `[` and `(` mark slices, arrays and tuples.
+    pub decls: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl ParsedFile {
+    /// The declared type heads of `name` (of the field `.name` when
+    /// `field`), if the file declares it.
+    pub fn heads(&self, name: &str, field: bool) -> Option<&BTreeSet<String>> {
+        if field {
+            self.decls.get(&format!(".{name}"))
+        } else {
+            self.decls.get(name)
+        }
+    }
 }
 
 /// Tokenize masked lines. Strings/comments are already blanked, so only
@@ -399,12 +367,13 @@ const KEYWORDS: &[&str] = &[
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
-const ITER_METHODS: &[&str] = &["iter", "keys", "values", "into_iter", "drain", "iter_mut"];
 
 enum ScopeKind {
     Mod,
     Impl,
     Fn,
+    /// A `struct` body: `name: T` at its top level declares a field.
+    Struct,
     Other,
 }
 
@@ -417,17 +386,9 @@ struct Scope {
 
 enum Pending {
     Mod(String),
-    Impl { type_name: String, trait_impl: bool },
+    Impl(String),
     Fn { name: String, is_pub: bool, line: usize },
-}
-
-/// A `.lock()`/`.read()`/`.write()`/`.wait*()` call awaiting receiver
-/// classification (the binding may be declared later in the file).
-struct LockCand {
-    recv: String,
-    method: String,
-    line: usize,
-    guard: Option<String>,
+    Struct,
 }
 
 /// Method calls that block regardless of receiver type (socket/file I/O,
@@ -440,17 +401,10 @@ const BLOCKING_METHODS: &[&str] =
 pub fn parse(file: &MaskedFile) -> ParsedFile {
     let toks = tokenize(&file.masked_lines);
     let mut out = ParsedFile::default();
-    // Raw hash-iteration candidates; filtered against `hash_bindings`
-    // once the whole file has been scanned (fields may be declared after
-    // the methods that iterate them).
-    let mut raw_iters: Vec<(usize, HashIter)> = Vec::new(); // (fn index, site)
-                                                            // Lock-method candidates, filtered against `lock_bindings` /
-                                                            // `net_bindings` once the whole file has been scanned.
-    let mut raw_locks: Vec<(usize, LockCand)> = Vec::new();
 
     let mut scopes: Vec<Scope> = Vec::new();
     let mut mod_path: Vec<String> = Vec::new();
-    let mut impl_ctx: Vec<(String, bool)> = Vec::new();
+    let mut impl_ctx: Vec<String> = Vec::new();
     let mut fn_stack: Vec<usize> = Vec::new();
     let mut pending: Option<Pending> = None;
     // Set while a `Pending::Fn` signature mentions a `*Guard` type.
@@ -474,6 +428,18 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
     };
     let punct =
         |i: usize, c: char| matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c);
+    // Record a declaration of `key` on `line` whose type starts at token
+    // `at`; test code declares nothing.
+    let declare = |decls: &mut BTreeMap<String, BTreeSet<String>>,
+                   key: String,
+                   at: usize,
+                   line: usize,
+                   impl_ctx: &[String]| {
+        if !file.in_test_region(line) {
+            let head = type_head(&toks, at, impl_ctx.last().map(String::as_str));
+            decls.entry(key).or_default().insert(head);
+        }
+    };
 
     let mut i = 0;
     while i < toks.len() {
@@ -487,20 +453,16 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                         mod_path.push(name);
                         ScopeKind::Mod
                     }
-                    Some(Pending::Impl { type_name, trait_impl }) => {
-                        impl_ctx.push((type_name, trait_impl));
+                    Some(Pending::Impl(type_name)) => {
+                        impl_ctx.push(type_name);
                         ScopeKind::Impl
                     }
+                    Some(Pending::Struct) => ScopeKind::Struct,
                     Some(Pending::Fn { name, is_pub, line }) => {
-                        let (impl_type, trait_impl) = match impl_ctx.last() {
-                            Some((ty, tr)) => (Some(ty.clone()), *tr),
-                            None => (None, false),
-                        };
                         out.fns.push(FnItem {
                             name,
                             module: mod_path.clone(),
-                            impl_type,
-                            trait_impl,
+                            impl_type: impl_ctx.last().cloned(),
                             is_pub,
                             line,
                             in_test: file.in_test_region(line),
@@ -508,13 +470,12 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                             method_calls: Vec::new(),
                             macros: Vec::new(),
                             panic_sites: Vec::new(),
-                            hash_iters: Vec::new(),
                             end_line: line,
                             ret_guard: std::mem::take(&mut pending_ret_guard),
                             lock_sites: Vec::new(),
                             blocking_sites: Vec::new(),
-                            alloc_sites: Vec::new(),
                             params: std::mem::take(&mut pending_params),
+                            rebound: BTreeSet::new(),
                             binds: Vec::new(),
                             sinks: Vec::new(),
                         });
@@ -596,26 +557,16 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                             continue;
                         }
                     }
-                    // Bindings are collected even in signatures (`set:
-                    // HashSet<u32>` parameters) and struct bodies.
-                    "HashMap" | "HashSet" => {
-                        if let Some(binding) = binding_before(&toks, i) {
-                            out.hash_bindings.insert(binding);
-                        }
+                    "struct" if pending.is_none() && ident(i + 1).is_some() => {
+                        pending = Some(Pending::Struct);
+                        i += 2;
+                        continue;
                     }
-                    "Mutex" | "RwLock" | "Condvar" => {
-                        if let Some(binding) = generic_binding_before(&toks, i) {
-                            let class = match name.as_str() {
-                                "Mutex" => LockClass::Mutex,
-                                "RwLock" => LockClass::RwLock,
-                                _ => LockClass::Condvar,
-                            };
-                            out.lock_bindings.insert(binding, class);
-                        }
-                    }
-                    "TcpStream" | "TcpListener" => {
-                        if let Some(binding) = generic_binding_before(&toks, i) {
-                            out.net_bindings.insert(binding);
+                    // `static [mut] NAME: T` / `const NAME: T`.
+                    "static" | "const" if pending.is_none() => {
+                        let k = if ident(i + 1) == Some("mut") { i + 2 } else { i + 1 };
+                        if let (Some(n), true) = (ident(k), punct(k + 1, ':')) {
+                            declare(&mut out.decls, n.to_string(), k + 2, t.line, &impl_ctx);
                         }
                     }
                     _ => {}
@@ -630,6 +581,19 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                     && punct(i + 1, ':')
                 {
                     pending_params.push(name.clone());
+                    declare(&mut out.decls, name.clone(), i + 2, t.line, &impl_ctx);
+                }
+                // Struct fields: `name:` at the top level of a struct body,
+                // after `{`, `,`, a visibility or an attribute.
+                if let Some(sc) = scopes.last() {
+                    if matches!(sc.kind, ScopeKind::Struct)
+                        && sc.open_depth + 1 == depth
+                        && punct(i + 1, ':')
+                        && (matches!(toks[i - 1].tok, Tok::Punct('{' | ',' | ')' | ']'))
+                            || ident(i - 1) == Some("pub"))
+                    {
+                        declare(&mut out.decls, format!(".{name}"), i + 2, t.line, &impl_ctx);
+                    }
                 }
                 // Body-level extraction: calls, macros, iteration sites.
                 if !in_sig && !fn_stack.is_empty() && !KEYWORDS.contains(&name.as_str()) {
@@ -638,16 +602,7 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                     let is_method = i > 0 && matches!(toks[i - 1].tok, Tok::Punct('.'));
                     if punct(after, '(') {
                         if is_method {
-                            record_method_call(
-                                &toks,
-                                i,
-                                name,
-                                t.line,
-                                &mut out.fns[fi],
-                                fi,
-                                &mut raw_iters,
-                                &mut raw_locks,
-                            );
+                            record_method_call(&toks, i, name, t.line, &mut out.fns[fi]);
                         } else {
                             let segments = path_back(&toks, i);
                             let head = i - 2 * (segments.len() - 1);
@@ -657,6 +612,7 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                                 args: call_args(&toks, after),
                                 bound: let_bound_before(&toks, head),
                                 recv: None,
+                                field_recv: false,
                             };
                             classify_path_call(&call, &mut out.fns[fi]);
                             out.fns[fi].calls.push(call);
@@ -670,6 +626,7 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                             args: Vec::new(),
                             bound: None,
                             recv: None,
+                            field_recv: false,
                         });
                         if PANIC_MACROS.contains(&name.as_str()) {
                             out.fns[fi]
@@ -681,32 +638,24 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                                 .push(PanicSite { kind: PanicKind::Assert, line: t.line });
                         }
                         if name == "vec" {
-                            out.fns[fi]
-                                .alloc_sites
-                                .push(AllocSite { kind: AllocKind::VecMacro, line: t.line });
                             out.fns[fi].sinks.push(SinkSite {
                                 kind: SinkKind::AllocSize,
                                 line: t.line,
                                 operands: macro_operand_idents(&toks, i + 2),
                             });
-                        } else if name == "format" {
-                            out.fns[fi]
-                                .alloc_sites
-                                .push(AllocSite { kind: AllocKind::FormatMacro, line: t.line });
                         }
                     }
                 }
-                // `for pat in <binding> {` iteration (hash determinism).
                 if !in_sig && !fn_stack.is_empty() && name == "in" {
-                    if let Some((binding, line)) = for_in_target(&toks, i) {
-                        let fi = *fn_stack.last().expect("fn_stack checked non-empty");
-                        raw_iters
-                            .push((fi, HashIter { binding, method: "for-in".to_string(), line }));
+                    let fi = *fn_stack.last().expect("fn_stack checked non-empty");
+                    // The `for` pattern rebinds its names.
+                    let lo = i.saturating_sub(8);
+                    if let Some(f) = (lo..i).rev().find(|&j| ident(j) == Some("for")) {
+                        out.fns[fi].rebound.extend(pattern_names(&toks[f + 1..i]));
                     }
-                    // Generalized dataflow: the loop pattern binds to the
-                    // iterated expression's identifiers.
+                    // Dataflow: the loop pattern binds to the iterated
+                    // expression's identifiers.
                     if let Some(bind) = for_in_bind(&toks, i) {
-                        let fi = *fn_stack.last().expect("fn_stack checked non-empty");
                         out.fns[fi].binds.push(bind);
                     }
                 }
@@ -719,10 +668,30 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                                 out.fns[fi].sinks.push(site);
                             }
                         }
-                        // `let pat = expr;` dataflow bind.
+                        // `let name: T` declares `name`; any other pattern
+                        // rebinds its names. Plus the `let pat = expr;`
+                        // dataflow bind.
                         "let" => {
+                            let fi = *fn_stack.last().expect("fn_stack checked non-empty");
+                            let k = if ident(i + 1) == Some("mut") { i + 2 } else { i + 1 };
+                            match ident(k) {
+                                Some(n) if punct(k + 1, ':') && !file.in_test_region(t.line) => {
+                                    declare(
+                                        &mut out.decls,
+                                        n.to_string(),
+                                        k + 2,
+                                        t.line,
+                                        &impl_ctx,
+                                    );
+                                }
+                                _ => {
+                                    let end = (i + 1..toks.len().min(i + 32))
+                                        .find(|&j| punct(j, '=') || punct(j, ';'))
+                                        .unwrap_or(i + 1);
+                                    out.fns[fi].rebound.extend(pattern_names(&toks[i + 1..end]));
+                                }
+                            }
                             if let Some(bind) = let_bind(&toks, i) {
-                                let fi = *fn_stack.last().expect("fn_stack checked non-empty");
                                 out.fns[fi].binds.push(bind);
                             }
                         }
@@ -791,20 +760,36 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                 }
             }
             Tok::Punct('=') if pending.is_none() && !fn_stack.is_empty() && punct(i + 1, '>') => {
-                // `match`-arm arrow: bind the arm pattern against the
-                // scrutinee of the innermost open match (arms sit one
-                // brace level inside it).
+                // `match`-arm arrow: the arm pattern rebinds its names, and
+                // binds against the scrutinee of the innermost open match
+                // (arms sit one brace level inside it).
+                let fi = *fn_stack.last().expect("fn_stack checked non-empty");
+                let bound = match_arm_pattern(&toks, i);
+                out.fns[fi].rebound.extend(bound.iter().cloned());
                 if let Some((d, scrut)) = match_stack.last() {
-                    if *d + 1 == depth {
-                        let bound = match_arm_pattern(&toks, i);
-                        if !bound.is_empty() {
-                            let fi = *fn_stack.last().expect("fn_stack checked non-empty");
-                            out.fns[fi].binds.push(TaintBind {
-                                bound,
-                                rhs: scrut.clone(),
-                                line: t.line,
-                            });
-                        }
+                    if *d + 1 == depth && !bound.is_empty() {
+                        out.fns[fi].binds.push(TaintBind {
+                            bound,
+                            rhs: scrut.clone(),
+                            line: t.line,
+                        });
+                    }
+                }
+            }
+            // A closure's parameter list: `|` where no value precedes it
+            // (a value before it makes it a bit-or, or the list's end).
+            Tok::Punct('|') if pending.is_none() && !fn_stack.is_empty() => {
+                let opens = i == 0
+                    || match &toks[i - 1].tok {
+                        Tok::Ident(s) => KEYWORDS.contains(&s.as_str()),
+                        Tok::Punct(c) => !matches!(c, ')' | ']' | '|'),
+                        _ => false,
+                    };
+                if opens {
+                    let fi = *fn_stack.last().expect("fn_stack checked non-empty");
+                    let end = (i + 1..toks.len().min(i + 24)).find(|&j| punct(j, '|'));
+                    if let Some(end) = end {
+                        out.fns[fi].rebound.extend(pattern_names(&toks[i + 1..end]));
                     }
                 }
             }
@@ -819,66 +804,52 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
         out.fns[fi].end_line = out.fns[fi].end_line.max(last_line);
     }
 
-    // Keep only iteration sites whose receiver is a known hash binding.
-    for (fi, site) in raw_iters {
-        if out.hash_bindings.contains(&site.binding) {
-            out.fns[fi].hash_iters.push(site);
-        }
-    }
-    // Classify lock-method candidates now that all bindings are known.
-    for (fi, c) in raw_locks {
-        match c.method.as_str() {
-            "lock" => {
-                if out.lock_bindings.get(&c.recv) == Some(&LockClass::Mutex) {
-                    out.fns[fi].lock_sites.push(LockSite {
-                        binding: c.recv,
-                        kind: LockKind::MutexLock,
-                        line: c.line,
-                        guard: c.guard,
-                    });
-                }
-            }
-            "read" | "write" => {
-                if out.lock_bindings.get(&c.recv) == Some(&LockClass::RwLock) {
-                    let kind =
-                        if c.method == "read" { LockKind::RwRead } else { LockKind::RwWrite };
-                    out.fns[fi].lock_sites.push(LockSite {
-                        binding: c.recv,
-                        kind,
-                        line: c.line,
-                        guard: c.guard,
-                    });
-                } else if out.net_bindings.contains(&c.recv) {
-                    out.fns[fi].blocking_sites.push(BlockingSite {
-                        op: c.method,
+    // Classify lock and socket methods by their receiver's declared type,
+    // which may be declared later in the file than the call; then sort.
+    let mut fns = std::mem::take(&mut out.fns);
+    for f in &mut fns {
+        for c in &f.method_calls {
+            let Some(recv) = &c.recv else { continue };
+            let declared = |ty: &str| out.heads(recv, c.field_recv).is_some_and(|h| h.contains(ty));
+            let lock = |kind| LockSite {
+                binding: recv.clone(),
+                kind,
+                line: c.line,
+                guard: c.bound.clone(),
+            };
+            match c.segments[0].as_str() {
+                "lock" if declared("Mutex") => f.lock_sites.push(lock(LockKind::MutexLock)),
+                "read" if declared("RwLock") => f.lock_sites.push(lock(LockKind::RwRead)),
+                "write" if declared("RwLock") => f.lock_sites.push(lock(LockKind::RwWrite)),
+                op @ ("read" | "write") if declared("TcpStream") => {
+                    f.blocking_sites.push(BlockingSite {
+                        op: op.to_string(),
                         line: c.line,
                         condvar_wait: false,
                     });
                 }
-            }
-            // wait / wait_timeout / wait_while / wait_timeout_while
-            m => {
-                if out.lock_bindings.get(&c.recv) == Some(&LockClass::Condvar) {
-                    out.fns[fi].blocking_sites.push(BlockingSite {
-                        op: format!("Condvar::{m}"),
+                op @ ("wait" | "wait_timeout" | "wait_while" | "wait_timeout_while")
+                    if declared("Condvar") =>
+                {
+                    f.blocking_sites.push(BlockingSite {
+                        op: format!("Condvar::{op}"),
                         line: c.line,
                         condvar_wait: true,
                     });
                 }
+                _ => {}
             }
         }
-    }
-    for f in &mut out.fns {
         f.lock_sites.sort_by_key(|s| s.line);
         f.blocking_sites.sort_by(|a, b| (a.line, &a.op).cmp(&(b.line, &b.op)));
-        f.alloc_sites.sort_by_key(|s| (s.line, s.kind));
         f.sinks.sort_by(|a, b| (a.line, a.kind).cmp(&(b.line, b.kind)));
         f.binds.sort_by_key(|b| b.line);
     }
+    out.fns = fns;
     out
 }
 
-/// Record blocking/allocation consequences of a free or path call.
+/// Record blocking and allocation-size consequences of a free or path call.
 fn classify_path_call(call: &Call, item: &mut FnItem) {
     let segs = &call.segments;
     let tail2 = |a: &str, b: &str| {
@@ -897,81 +868,34 @@ fn classify_path_call(call: &Call, item: &mut FnItem) {
             condvar_wait: false,
         });
     }
-    if tail2("Vec", "new") {
-        item.alloc_sites.push(AllocSite { kind: AllocKind::VecNew, line: call.line });
-    } else if segs.last().is_some_and(|s| s == "with_capacity") {
-        item.alloc_sites.push(AllocSite { kind: AllocKind::WithCapacity, line: call.line });
+    if segs.last().is_some_and(|s| s == "with_capacity") {
         item.sinks.push(SinkSite {
             kind: SinkKind::AllocSize,
             line: call.line,
             operands: call.args.iter().filter(|a| taint_ident(a)).cloned().collect(),
         });
-    } else if tail2("String", "from") {
-        item.alloc_sites.push(AllocSite { kind: AllocKind::StringFrom, line: call.line });
-    } else if tail2("Box", "new") {
-        item.alloc_sites.push(AllocSite { kind: AllocKind::BoxNew, line: call.line });
     }
 }
 
 /// Record a `.name(` method call plus, when applicable, its panic,
-/// hash-iteration, lock, blocking or allocation consequences.
-#[allow(clippy::too_many_arguments)]
-fn record_method_call(
-    toks: &[Token],
-    i: usize,
-    name: &str,
-    line: usize,
-    item: &mut FnItem,
-    fi: usize,
-    raw_iters: &mut Vec<(usize, HashIter)>,
-    raw_locks: &mut Vec<(usize, LockCand)>,
-) {
+/// blocking or allocation-size consequences (lock and socket methods are
+/// classified once the whole file is parsed).
+fn record_method_call(toks: &[Token], i: usize, name: &str, line: usize, item: &mut FnItem) {
     let after = skip_turbofish(toks, i + 1);
     let args = call_args(toks, after);
     let recv = match toks.get(i.wrapping_sub(2)).map(|t| &t.tok) {
         Some(Tok::Ident(r)) if i >= 2 => Some(r.clone()),
         _ => None,
     };
-    item.method_calls.push(Call {
-        segments: vec![name.to_string()],
-        line,
-        args: args.clone(),
-        bound: let_bound_before(toks, i),
-        recv,
-    });
+    // `x.recv.f(..)`, but not the range `0..recv.f(..)`.
+    let dot = |j: usize| matches!(toks.get(j).map(|t| &t.tok), Some(Tok::Punct('.')));
+    let field_recv = i >= 3 && dot(i - 3) && !(i >= 4 && dot(i - 4));
     match name {
         "unwrap" => item.panic_sites.push(PanicSite { kind: PanicKind::Unwrap, line }),
         "expect" => item.panic_sites.push(PanicSite { kind: PanicKind::Expect, line }),
         _ => {}
     }
-    if ITER_METHODS.contains(&name) {
-        // Receiver: `recv.iter(` — the identifier before the dot.
-        if i >= 2 {
-            if let Tok::Ident(recv) = &toks[i - 2].tok {
-                raw_iters
-                    .push((fi, HashIter { binding: recv.clone(), method: name.to_string(), line }));
-            }
-        }
-    }
     match name {
-        "lock" | "read" | "write" | "wait" | "wait_timeout" | "wait_while"
-        | "wait_timeout_while" => {
-            // Receiver-dependent: classified against the file's lock/net
-            // bindings once the whole file has been scanned.
-            if i >= 2 {
-                if let Tok::Ident(recv) = &toks[i - 2].tok {
-                    raw_locks.push((
-                        fi,
-                        LockCand {
-                            recv: recv.clone(),
-                            method: name.to_string(),
-                            line,
-                            guard: let_bound_before(toks, i),
-                        },
-                    ));
-                }
-            }
-        }
         m if BLOCKING_METHODS.contains(&m) => {
             item.blocking_sites.push(BlockingSite {
                 op: name.to_string(),
@@ -992,12 +916,6 @@ fn record_method_call(
                 });
             }
         }
-        "clone" => item.alloc_sites.push(AllocSite { kind: AllocKind::Clone, line }),
-        "to_vec" => item.alloc_sites.push(AllocSite { kind: AllocKind::ToVec, line }),
-        "collect" => item.alloc_sites.push(AllocSite { kind: AllocKind::Collect, line }),
-        // Allocation-size sink only: `reserve` grows in place, so it is
-        // not part of the hot-path alloc vocabulary, but its argument is
-        // still an untrusted-size position.
         "reserve" | "reserve_exact" | "with_capacity" => {
             item.sinks.push(SinkSite {
                 kind: SinkKind::AllocSize,
@@ -1007,28 +925,14 @@ fn record_method_call(
         }
         _ => {}
     }
-}
-
-/// `for pat in [&][mut] binding {` — returns the binding iterated over
-/// when the loop consumes a bare identifier (the hash-iteration case).
-fn for_in_target(toks: &[Token], in_idx: usize) -> Option<(String, usize)> {
-    // Confirm this `in` belongs to a `for` loop: scan back a few tokens
-    // for the `for` keyword (patterns are short).
-    let lo = in_idx.saturating_sub(8);
-    let is_for = toks[lo..in_idx].iter().any(|t| matches!(&t.tok, Tok::Ident(s) if s == "for"));
-    if !is_for {
-        return None;
-    }
-    let mut j = in_idx + 1;
-    while matches!(toks.get(j).map(|t| &t.tok), Some(Tok::Punct('&')))
-        || matches!(toks.get(j).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "mut")
-    {
-        j += 1;
-    }
-    match (toks.get(j).map(|t| &t.tok), toks.get(j + 1).map(|t| &t.tok)) {
-        (Some(Tok::Ident(name)), Some(Tok::Punct('{'))) => Some((name.clone(), toks[j].line)),
-        _ => None,
-    }
+    item.method_calls.push(Call {
+        segments: vec![name.to_string()],
+        line,
+        args,
+        bound: let_bound_before(toks, i),
+        recv,
+        field_recv,
+    });
 }
 
 /// Integer-division panic site at token `i` (a `/` or `%`), or `None`
@@ -1510,11 +1414,15 @@ fn pub_before(toks: &[Token], fn_idx: usize) -> bool {
 /// Parse an `impl` header from just after the keyword; returns the pending
 /// scope and the index of the opening `{` (where the caller resumes).
 fn parse_impl_header(toks: &[Token], mut i: usize) -> Option<(Pending, usize)> {
-    // Skip `impl<..>` generics.
+    // Skip `impl<..>` generics, collecting the parameter names.
+    let mut generics: Vec<&str> = Vec::new();
     if matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct('<'))) {
         let mut angle = 0i64;
         while i < toks.len() {
-            match toks[i].tok {
+            match &toks[i].tok {
+                Tok::Ident(s) if angle == 1 && matches!(toks[i - 1].tok, Tok::Punct('<' | ',')) => {
+                    generics.push(s)
+                }
                 Tok::Punct('<') => angle += 1,
                 Tok::Punct('>') => {
                     let arrow = i > 0 && matches!(toks[i - 1].tok, Tok::Punct('-'));
@@ -1531,19 +1439,21 @@ fn parse_impl_header(toks: &[Token], mut i: usize) -> Option<(Pending, usize)> {
             i += 1;
         }
     }
-    // Collect identifiers up to the body `{`; `for` splits trait vs type.
+    // Collect identifiers up to the body `{`, each path collapsed to its
+    // last segment; `for` splits trait vs type.
     let mut idents: Vec<&str> = Vec::new();
     let mut for_at: Option<usize> = None;
     let mut angle = 0i64;
     while i < toks.len() {
         match &toks[i].tok {
             Tok::Punct('{') if angle == 0 => {
-                let (type_name, trait_impl) = match for_at {
-                    Some(f) => (idents.get(f + 1).copied(), true),
-                    None => (idents.first().copied(), false),
+                let type_name = match for_at {
+                    Some(f) => idents.get(f + 1),
+                    None => idents.first(),
                 };
-                return type_name
-                    .map(|ty| (Pending::Impl { type_name: ty.to_string(), trait_impl }, i));
+                let blanket = type_name.is_some_and(|ty| generics.contains(ty));
+                let ty = if blanket { Some(&"_") } else { type_name };
+                return ty.map(|ty| (Pending::Impl(ty.to_string()), i));
             }
             Tok::Punct(';') => return None, // `impl Trait for Type;`-style oddity
             Tok::Punct('<') => angle += 1,
@@ -1557,7 +1467,11 @@ fn parse_impl_header(toks: &[Token], mut i: usize) -> Option<(Pending, usize)> {
                 idents.push("for");
                 for_at = Some(idents.len() - 1);
             }
-            Tok::Ident(s) if angle == 0 => idents.push(s),
+            Tok::Ident(s) if angle == 0 => match idents.last_mut() {
+                Some(last) if matches!(toks[i - 1].tok, Tok::ColonColon) => *last = s,
+                _ if s == "mut" || s == "dyn" => {}
+                _ => idents.push(s),
+            },
             _ => {}
         }
         i += 1;
@@ -1630,86 +1544,51 @@ fn parse_use(toks: &[Token], start: usize, out: &mut Vec<(String, Vec<String>)>)
     i + 1
 }
 
-/// Find the name a `HashMap`/`HashSet` type annotates: walks back over the
-/// path prefix (`std::collections::`) to a `name:` field/let annotation,
-/// or back from `= HashMap::new()` to a `let name =` binding.
-fn binding_before(toks: &[Token], mut i: usize) -> Option<String> {
-    // Hop over `std::collections::` style prefixes.
-    while i >= 2
-        && matches!(toks[i - 1].tok, Tok::ColonColon)
-        && matches!(toks[i - 2].tok, Tok::Ident(_))
-    {
-        i -= 2;
-    }
-    binding_target(toks, i)
-}
-
-/// Like [`binding_before`], but first unwraps wrapper generics, path
-/// prefixes and reference sigils, so `state: Arc<Mutex<T>>`,
-/// `lock: &'a std::sync::Mutex<T>` and `w: &mut TcpStream` all resolve
-/// to their binding name.
-fn generic_binding_before(toks: &[Token], mut i: usize) -> Option<String> {
+/// The head of the type starting at token `i` (see [`ParsedFile::decls`]):
+/// `&`, `mut` and `Arc`/`Rc`/`Box` wrappers are stripped and the last
+/// path segment kept. `impl_type` replaces `Self`.
+fn type_head(toks: &[Token], mut i: usize, impl_type: Option<&str>) -> String {
+    const WRAPPERS: &[&str] = &["Arc", "Rc", "Box"];
     loop {
-        // `std::sync::Mutex` → hop the path prefix.
-        while i >= 2
-            && matches!(toks[i - 1].tok, Tok::ColonColon)
-            && matches!(toks[i - 2].tok, Tok::Ident(_))
-        {
-            i -= 2;
+        match toks.get(i).map(|t| &t.tok) {
+            Some(Tok::Punct('&')) => i += 1,
+            Some(Tok::Ident(s)) if s == "mut" => i += 1,
+            Some(Tok::Ident(s)) if s == "dyn" || s == "impl" => return "?".to_string(),
+            Some(Tok::Ident(first)) => {
+                let mut j = i;
+                while matches!(toks.get(j + 1).map(|t| &t.tok), Some(Tok::ColonColon))
+                    && matches!(toks.get(j + 2).map(|t| &t.tok), Some(Tok::Ident(_)))
+                {
+                    j += 2;
+                }
+                let Tok::Ident(head) = &toks[j].tok else { unreachable!("path ends on an ident") };
+                if WRAPPERS.contains(&head.as_str())
+                    && matches!(toks.get(j + 1).map(|t| &t.tok), Some(Tok::Punct('<')))
+                {
+                    i = j + 2;
+                    continue;
+                }
+                return match (first.as_str(), j == i) {
+                    // `Self::Item` and other associated types.
+                    ("Self", false) => "?".to_string(),
+                    ("Self", true) => impl_type.unwrap_or("?").to_string(),
+                    _ => head.clone(),
+                };
+            }
+            Some(Tok::Punct(c)) => return c.to_string(),
+            _ => return "?".to_string(),
         }
-        // `Arc<Mutex<..>>` → hop one wrapper generic and retry.
-        if i >= 2
-            && matches!(toks[i - 1].tok, Tok::Punct('<'))
-            && matches!(toks[i - 2].tok, Tok::Ident(_))
-        {
-            i -= 2;
-            continue;
-        }
-        // `&`, `mut`, `dyn` sigils (lifetimes never reach the token
-        // stream).
-        if i >= 1
-            && (matches!(toks[i - 1].tok, Tok::Punct('&'))
-                || matches!(&toks[i - 1].tok, Tok::Ident(s) if s == "mut" || s == "dyn"))
-        {
-            i -= 1;
-            continue;
-        }
-        break;
     }
-    binding_target(toks, i)
 }
 
-/// Shared tail of the binding scans: the type at `i` either annotates a
-/// `name:` field/let/param or initializes a `let [mut] name = ...`.
-fn binding_target(toks: &[Token], i: usize) -> Option<String> {
-    match toks.get(i.checked_sub(1)?).map(|t| &t.tok) {
-        Some(Tok::Punct(':')) => match toks.get(i.checked_sub(2)?).map(|t| &t.tok) {
-            Some(Tok::Ident(name)) => Some(name.clone()),
-            _ => None,
-        },
-        _ => {
-            // `let [mut] name = HashMap::new()` / `... = HashSet::new()`.
-            let lo = i.saturating_sub(8);
-            for j in (lo..i).rev() {
-                match &toks[j].tok {
-                    Tok::Punct(';') | Tok::Punct('{') | Tok::Punct('}') => return None,
-                    Tok::Ident(s) if s == "let" => {
-                        let mut k = j + 1;
-                        if matches!(toks.get(k).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "mut")
-                        {
-                            k += 1;
-                        }
-                        return match toks.get(k).map(|t| &t.tok) {
-                            Some(Tok::Ident(name)) => Some(name.clone()),
-                            _ => None,
-                        };
-                    }
-                    _ => {}
-                }
-            }
-            None
-        }
-    }
+/// The names a pattern binds: its lowercase identifiers, keywords and
+/// primitive types excluded (over-inclusive, which only makes more
+/// receivers resolve by name).
+fn pattern_names(toks: &[Token]) -> impl Iterator<Item = String> + '_ {
+    toks.iter().filter_map(|t| match &t.tok {
+        Tok::Ident(s) if taint_ident(s) => Some(s.clone()),
+        _ => None,
+    })
 }
 
 /// Identifiers inside a call's parentheses (bounded scan from the `(` at
@@ -1794,16 +1673,18 @@ mod tests {
     }
 
     #[test]
-    fn methods_carry_impl_type_and_trait_flag() {
-        let src = "struct S;\nimpl S { pub fn m(&self) {} }\nimpl Clone for S { fn clone(&self) -> S { S } }\n";
+    fn methods_carry_impl_type() {
+        let src = "struct S;\nimpl S { pub fn m(&self) {} }\nimpl Clone for S { fn clone(&self) -> S { S } }\n\
+                   impl std::fmt::Debug for core::ops::Range<S> { fn fmt(&self) {} }\n\
+                   impl<R: Rng + ?Sized> Rng for &mut R { fn next_u64(&mut self) {} }\n";
         let p = parse_src(src);
         let m = fn_named(&p, "m");
         assert_eq!(m.impl_type.as_deref(), Some("S"));
-        assert!(!m.trait_impl);
         assert!(m.is_pub);
-        let c = fn_named(&p, "clone");
-        assert_eq!(c.impl_type.as_deref(), Some("S"));
-        assert!(c.trait_impl);
+        assert_eq!(fn_named(&p, "clone").impl_type.as_deref(), Some("S"));
+        // A path names its last segment; a blanket impl is `_`.
+        assert_eq!(fn_named(&p, "fmt").impl_type.as_deref(), Some("Range"));
+        assert_eq!(fn_named(&p, "next_u64").impl_type.as_deref(), Some("_"));
     }
 
     #[test]
@@ -1929,24 +1810,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_bindings_fields_and_lets() {
-        let src = "struct S { buckets: HashMap<u64, Vec<u32>>, tomb: std::collections::HashSet<u32> }\nfn f() { let mut seen = HashSet::new(); let m: HashMap<u8, u8> = HashMap::new(); seen.insert(1); }\n";
-        let p = parse_src(src);
-        for b in ["buckets", "tomb", "seen", "m"] {
-            assert!(p.hash_bindings.contains(b), "missing binding {b}: {:?}", p.hash_bindings);
-        }
-    }
-
-    #[test]
-    fn hash_iteration_sites_detected() {
-        let src = "struct S { buckets: HashMap<u64, u8> }\nimpl S {\n    fn stats(&self) { for items in self.buckets.values() { use_it(items); } }\n    fn direct(&self, set: HashSet<u32>) { for v in set { use_it(v); } }\n    fn fine(&self, v: Vec<u8>) { for x in v { use_it(x); } v.iter(); }\n}\n";
-        let p = parse_src(src);
-        assert!(fn_named(&p, "stats").hash_iters.iter().any(|h| h.binding == "buckets"));
-        assert!(fn_named(&p, "direct").hash_iters.iter().any(|h| h.binding == "set"));
-        assert!(fn_named(&p, "fine").hash_iters.is_empty());
-    }
-
-    #[test]
     fn impl_fn_in_signature_does_not_open_impl_scope() {
         let src = "pub fn rel() -> impl Fn(usize) -> bool { move |q| q > 0 }\nfn after() {}\n";
         let p = parse_src(src);
@@ -1972,23 +1835,59 @@ mod tests {
     }
 
     #[test]
-    fn lock_bindings_fields_statics_params_and_lets() {
-        let src = "struct Q { state: Mutex<u32>, ready: Condvar, idx: std::sync::RwLock<u8> }\n\
+    fn decls_from_fields_statics_params_and_annotated_lets() {
+        let src = "struct Q { state: Mutex<u32>, pub ready: Condvar, idx: std::sync::RwLock<u8>, w: Box<dyn Write> }\n\
                    static SINK: Mutex<Option<u8>> = Mutex::new(None);\n\
-                   fn f(lock: &Mutex<u32>, shared: &Arc<Mutex<u32>>) {\n\
-                       let m = Arc::new(Mutex::new(0u32));\n\
+                   impl Q {\n\
+                       fn f(&self, lock: &'a Mutex<u32>, shared: &Arc<Mutex<u32>>, v: &mut [u8], o: &Self, it: impl Iterator) {\n\
+                           let m = Arc::new(Mutex::new(0u32));\n\
+                           let mut n: uhscm_eval::BitCodes = make();\n\
+                           let lit = Q { state: other, idx: x };\n\
+                       }\n\
+                   }\n\
+                   #[cfg(test)]\nmod tests {\n    fn t(shared: Vec<u8>) {}\n}\n";
+        let p = parse_src(src);
+        let head = |name: &str, field: bool| -> Vec<&str> {
+            p.heads(name, field).map(|h| h.iter().map(String::as_str).collect()).unwrap_or_default()
+        };
+        assert_eq!(head("state", true), ["Mutex"]);
+        assert_eq!(head("ready", true), ["Condvar"]);
+        assert_eq!(head("idx", true), ["RwLock"]);
+        assert_eq!(head("w", true), ["?"]);
+        assert_eq!(head("SINK", false), ["Mutex"]);
+        assert_eq!(head("lock", false), ["Mutex"]);
+        // Wrappers are stripped; test-region declarations are not recorded.
+        assert_eq!(head("shared", false), ["Mutex"]);
+        assert_eq!(head("v", false), ["["]);
+        assert_eq!(head("o", false), ["Q"]);
+        assert_eq!(head("it", false), ["?"]);
+        assert_eq!(head("n", false), ["BitCodes"]);
+        // Unannotated lets and struct-literal fields declare nothing.
+        assert!(p.heads("m", false).is_none());
+        assert!(p.heads("lit", false).is_none());
+        assert!(p.heads("state", false).is_none());
+        assert!(p.heads("other", true).is_none());
+    }
+
+    #[test]
+    fn rebound_names_from_lets_patterns_and_closures() {
+        let src = "fn f(a: A, b: B) {\n\
+                       let x = a.g();\n\
+                       let y: Y = a.h();\n\
+                       if let Some(z) = b.k() { z.m(); }\n\
+                       for (i, w) in items { w.m(); }\n\
+                       match a { A::P(p) => p.m(), _ => {} }\n\
+                       rows.iter().map(|r| r.m()).for_each(move |(s, t)| s.m());\n\
+                       let q = a || b | c;\n\
                    }\n";
         let p = parse_src(src);
-        for (b, class) in [
-            ("state", LockClass::Mutex),
-            ("ready", LockClass::Condvar),
-            ("idx", LockClass::RwLock),
-            ("SINK", LockClass::Mutex),
-            ("lock", LockClass::Mutex),
-            ("shared", LockClass::Mutex),
-            ("m", LockClass::Mutex),
-        ] {
-            assert_eq!(p.lock_bindings.get(b), Some(&class), "binding {b}: {:?}", p.lock_bindings);
+        let rebound: Vec<&str> = fn_named(&p, "f").rebound.iter().map(String::as_str).collect();
+        for name in ["x", "z", "i", "w", "p", "r", "s", "t", "q"] {
+            assert!(rebound.contains(&name), "{name} missing: {rebound:?}");
+        }
+        // Parameters, annotated lets and bit-or operands are not rebound.
+        for name in ["a", "b", "y", "c"] {
+            assert!(!rebound.contains(&name), "{name} rebound: {rebound:?}");
         }
     }
 
@@ -2048,37 +1947,6 @@ mod tests {
         let ops: Vec<&str> =
             fn_named(&p, "f").blocking_sites.iter().map(|b| b.op.as_str()).collect();
         assert_eq!(ops, vec!["write_all", "read", "thread::sleep", "recv", "join"]);
-    }
-
-    #[test]
-    fn alloc_sites_curated_vocabulary() {
-        let src = "fn f() {\n\
-                       let a = Vec::new();\n\
-                       let b = Vec::with_capacity(4);\n\
-                       let c = vec![0u8; 4];\n\
-                       let d = x.clone();\n\
-                       let e = s.to_vec();\n\
-                       let f2 = it.collect::<Vec<u8>>();\n\
-                       let g = format!(\"{q}\");\n\
-                       let h = String::from(raw);\n\
-                       let i2 = Box::new(3);\n\
-                   }\n";
-        let p = parse_src(src);
-        let kinds: Vec<AllocKind> = fn_named(&p, "f").alloc_sites.iter().map(|s| s.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                AllocKind::VecNew,
-                AllocKind::WithCapacity,
-                AllocKind::VecMacro,
-                AllocKind::Clone,
-                AllocKind::ToVec,
-                AllocKind::Collect,
-                AllocKind::FormatMacro,
-                AllocKind::StringFrom,
-                AllocKind::BoxNew,
-            ]
-        );
     }
 
     #[test]
@@ -2197,15 +2065,20 @@ mod tests {
 
     #[test]
     fn method_receiver_captured() {
-        let p = parse_src("fn f(rows: Vec<u8>) { rows.len(); fetch().len(); }\n");
+        let p = parse_src(
+            "fn f(rows: Vec<u8>) { rows.len(); fetch().len(); self.rows.len(); 0..rows.len(); }\n",
+        );
         let f = fn_named(&p, "f");
-        let lens: Vec<Option<&str>> = f
+        let lens: Vec<(Option<&str>, bool)> = f
             .method_calls
             .iter()
             .filter(|c| c.segments == ["len"])
-            .map(|c| c.recv.as_deref())
+            .map(|c| (c.recv.as_deref(), c.field_recv))
             .collect();
-        assert_eq!(lens, vec![Some("rows"), None]);
+        assert_eq!(
+            lens,
+            vec![(Some("rows"), false), (None, false), (Some("rows"), true), (Some("rows"), false)]
+        );
     }
 
     #[test]

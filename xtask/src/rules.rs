@@ -108,9 +108,10 @@ pub struct Finding {
 }
 
 /// Every rule name a finding (and therefore an allowlist entry) can carry.
-/// `panic-budget`, `alloc-budget`, `taint-budget` and `lock-order` are
+/// `panic-budget`, `taint-budget`, `lock-order` and `crate-graph` are
 /// deliberately absent: budget regressions must be fixed or re-baselined
-/// via `--write-budget`, and deadlock-shaped findings must be fixed —
+/// via `--write-budget`, deadlock-shaped findings must be fixed, and a
+/// crate the call graph cannot link must be declared in its manifest —
 /// none of them can ever be allowlisted (see [`allowlistable`]).
 pub const ALL_RULES: &[&str] = &[
     "no-unwrap",
@@ -120,17 +121,17 @@ pub const ALL_RULES: &[&str] = &[
     "float-cmp",
     "no-panic-macro",
     "panics-doc",
-    "hash-iter",
-    "dead-export",
+    "no-hash-collections",
     "lock-blocking",
 ];
 
 /// Whether findings of `rule` may be baselined in `xtask/lint.allow`.
-/// Budget growth and lock-order cycles/re-entry are always hard errors;
-/// `lock-blocking` stays allowlistable because an intentional
-/// `Condvar::wait` under its own mutex is the correct coalescing idiom.
+/// Budget growth, lock-order cycles/re-entry and crate-graph gaps are
+/// always hard errors; `lock-blocking` stays allowlistable because an
+/// intentional `Condvar::wait` under its own mutex is the correct
+/// coalescing idiom.
 pub fn allowlistable(rule: &str) -> bool {
-    !matches!(rule, "panic-budget" | "alloc-budget" | "taint-budget" | "lock-order")
+    !matches!(rule, "panic-budget" | "taint-budget" | "lock-order" | "crate-graph")
 }
 
 /// Run every applicable rule on one file.
@@ -156,6 +157,7 @@ pub fn check_file(rel_path: &str, file: &MaskedFile) -> Vec<Finding> {
         float_eq(rel_path, file, &mut findings);
         no_panic_macros(rel_path, file, &mut findings);
         panics_doc(rel_path, file, &mut findings);
+        no_hash_collections(rel_path, file, &mut findings);
     }
     findings
 }
@@ -456,6 +458,33 @@ fn no_panic_macros(path: &str, file: &MaskedFile, findings: &mut Vec<Finding>) {
     }
 }
 
+/// `no-hash-collections`: `HashMap` / `HashSet` in non-test library code.
+/// Their iteration order differs between runs, so a float sum, a report
+/// or a tie-break driven by one breaks the bitwise reproducibility
+/// contract (DESIGN.md §9); `BTreeMap` / `BTreeSet` iterate in key order.
+fn no_hash_collections(path: &str, file: &MaskedFile, findings: &mut Vec<Finding>) {
+    for (lineno, line) in file.masked_lines.iter().enumerate() {
+        if file.in_test_region(lineno) {
+            continue;
+        }
+        for tok in ["HashMap", "HashSet"] {
+            if !token_positions(line, tok).is_empty() {
+                push(
+                    findings,
+                    "no-hash-collections",
+                    path,
+                    file,
+                    lineno,
+                    format!(
+                        "`{tok}` in library code iterates in a different order on every \
+                         run: use BTreeMap/BTreeSet, or allowlist a map that is never iterated"
+                    ),
+                );
+            }
+        }
+    }
+}
+
 /// `panics-doc`: a `pub fn` whose body can assert/panic must document it
 /// under a `# Panics` heading.
 fn panics_doc(path: &str, file: &MaskedFile, findings: &mut Vec<Finding>) {
@@ -733,6 +762,24 @@ mod tests {
         );
         // `_unguardedly` is a different identifier, not the suffix.
         assert_eq!(lint("crates/core/src/a.rs", "fn f() { run_unguardedly(); }").len(), 0);
+    }
+
+    #[test]
+    fn hash_collections_flagged_in_non_test_library_code_only() {
+        let src = "use std::collections::HashMap;\nfn f(s: &HashSet<u32>) {}\n";
+        let f = lint("crates/core/src/a.rs", src);
+        assert_eq!(f.len(), 2);
+        assert!(f.iter().all(|f| f.rule == "no-hash-collections"));
+        // Test modules, tests and binaries may hash; BTree collections and
+        // longer identifiers are not hash collections.
+        let test_mod =
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
+        assert!(lint("crates/core/src/a.rs", test_mod).is_empty());
+        assert!(lint("tests/a.rs", src).is_empty());
+        assert!(lint("src/bin/uhscm.rs", src).is_empty());
+        assert!(
+            lint("crates/core/src/a.rs", "fn f(m: BTreeMap<u8, u8>, h: HashMapLike) {}").is_empty()
+        );
     }
 
     #[test]
