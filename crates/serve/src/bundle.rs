@@ -27,7 +27,7 @@ pub struct Bundle {
 
 impl Bundle {
     /// The bundle a server boots with (version 0). Crate-internal: outside
-    /// callers go through [`crate::Engine::with_vocab`], which validates
+    /// callers go through [`crate::Engine::with_vocab_index`], which validates
     /// widths before wrapping.
     pub(crate) fn initial(model: Mlp, vocab: Vec<String>) -> Bundle {
         Bundle { version: 0, model, vocab }

@@ -188,29 +188,14 @@ impl Engine {
     /// [`ServeError::Config`] if the model's output width differs from the
     /// database's code width.
     pub fn new(model: Mlp, db: &BitCodes, shards: usize) -> Result<Self, ServeError> {
-        Self::with_vocab(model, Vec::new(), db, shards)
+        Self::with_vocab_index(model, Vec::new(), ShardedIndex::new(db, shards))
     }
 
-    /// Pair a full bundle (model + concept vocabulary) with a code
-    /// database; the bundle starts at version 0.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Config`] if the model's output width differs from the
-    /// database's code width.
-    pub fn with_vocab(
-        model: Mlp,
-        vocab: Vec<String>,
-        db: &BitCodes,
-        shards: usize,
-    ) -> Result<Self, ServeError> {
-        Self::with_vocab_index(model, vocab, ShardedIndex::new(db, shards))
-    }
-
-    /// Pair a bundle with an already-built index — the store-backed path:
-    /// a `GenesisBuilder` fed segment by segment from an on-disk store
-    /// yields the index without the database ever being concatenated in
-    /// memory (the serve crate stays independent of the store format).
+    /// Pair a full bundle (model + concept vocabulary) with an
+    /// already-built index; the bundle starts at version 0. The
+    /// store-backed path feeds a `GenesisBuilder` segment by segment from
+    /// an on-disk store, so the database is never concatenated in memory
+    /// (the serve crate stays independent of the store format).
     ///
     /// # Errors
     ///

@@ -166,24 +166,6 @@ pub struct Generation {
 }
 
 impl Generation {
-    /// Generation 0: `db` split into `num_shards` contiguous bands (clamped
-    /// to `1..=len` non-empty bands; an empty database yields no segments).
-    fn genesis(db: &BitCodes, num_shards: usize) -> Generation {
-        let segments = par::partition(db.len(), num_shards.max(1))
-            .into_iter()
-            .map(|band| {
-                Arc::new(Segment { offset: band.start as u32, codes: db.slice(band.clone()) })
-            })
-            .collect();
-        Generation {
-            seq: 0,
-            bits: db.bits(),
-            segments,
-            tombstones: BTreeSet::new(),
-            total: db.len(),
-        }
-    }
-
     /// The next generation sharing every segment of `self`: `O(segments)`
     /// `Arc` clones plus one tombstone-set clone, never a code copy.
     fn child(&self) -> Generation {
@@ -353,11 +335,6 @@ impl GenesisBuilder {
         self.total
     }
 
-    /// Bands pushed so far.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Seal the bands into generation 0 of a [`ShardedIndex`].
     pub fn finish(self) -> ShardedIndex {
         let genesis = Arc::new(Generation {
@@ -440,11 +417,18 @@ fn lock_mutate(lock: &Mutex<()>) -> MutexGuard<'_, ()> {
 
 impl ShardedIndex {
     /// Build generation 0 from `db` split into `num_shards` contiguous
-    /// bands (clamped to `1..=len` non-empty bands).
+    /// bands (clamped to `1..=len` non-empty bands; an empty database
+    /// yields no bands).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `db` holds more codes than the `u32` global index space.
     pub fn new(db: &BitCodes, num_shards: usize) -> Self {
-        let bits = db.bits();
-        let genesis = Arc::new(Generation::genesis(db, num_shards));
-        Self { current: RwLock::new(genesis), mutate: Mutex::new(()), bits }
+        let mut genesis = GenesisBuilder::new(db.bits());
+        for band in par::partition(db.len(), num_shards) {
+            genesis.push(db.slice(band));
+        }
+        genesis.finish()
     }
 
     /// The current committed generation, pinned: later commits never touch
@@ -725,9 +709,8 @@ mod tests {
         b.push(db.slice(0..6));
         b.push(db.slice(6..6)); // empty chunks are skipped
         b.push(db.slice(6..10));
-        assert_eq!(b.num_segments(), 2);
         let index = b.finish();
-        assert_eq!(index.generation(), 0);
+        assert_eq!((index.num_shards(), index.generation()), (2, 0));
         let commit = index.insert(&toy_codes(3, 5));
         assert_eq!((commit.generation, commit.first_index), (1, 10));
         assert!(index.remove(0).removed);

@@ -33,7 +33,7 @@ use uhscm_linalg::Matrix;
 use uhscm_nn::Mlp;
 use uhscm_serve::{
     encode_request, read_frame_blocking, synth, write_frame, Engine, FrameReader, QueryRequest,
-    Request, Response, ServeConfig, Server,
+    Request, Response, ServeConfig, Server, ShardedIndex,
 };
 
 /// Few bits + many codes = dense distance ties, the regime where a sloppy
@@ -102,7 +102,8 @@ fn every_response_matches_the_oracle_at_its_reported_generation() {
 
 fn run_swap_boundary(shards: usize, bundle_dir: &Path, alt: &Mlp) {
     let w = synth::workload(SEED, DIM, BITS, N_DB, N_QUERIES);
-    let engine = Engine::with_vocab(w.model.clone(), vec!["seed-term".to_string()], &w.db, shards)
+    let index = ShardedIndex::new(&w.db, shards);
+    let engine = Engine::with_vocab_index(w.model.clone(), vec!["seed-term".to_string()], index)
         .expect("widths match");
     // Batches form from whatever queued while the worker was busy, so the
     // pipelined bursts below still yield multi-query batches while

@@ -29,9 +29,9 @@ use uhscm_obs::registry;
 
 const MAGIC: &[u8; 4] = b"UHSS";
 const VERSION: u32 = 1;
-/// Widest code the format accepts (matches the `BitCodes::load` cap).
+/// Widest code the format accepts.
 const MAX_BITS: usize = 1 << 20;
-/// Most codes a store may declare (matches the `BitCodes::load` cap).
+/// Most codes a store may declare.
 const MAX_TOTAL_CODES: u64 = 1 << 32;
 /// Hashed header prefix: magic + version + bits + segment_count + total.
 const HEADER_PREFIX_BYTES: usize = 4 + 4 + 8 + 8 + 8;
@@ -454,6 +454,23 @@ mod tests {
             }
             assert!(r.next_segment().unwrap().is_none());
             assert!(r.next_segment().unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn segments_longer_than_one_read_chunk_round_trip() {
+        // 65,537 one-word codes: one word past a full scratch chunk.
+        let n = READ_CHUNK_BYTES / 8 + 1;
+        let words = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let codes = BitCodes::from_words(n, 64, words).unwrap();
+        let bytes = write_store(std::slice::from_ref(&codes), 64);
+        assert_eq!(StoreReader::new(bytes.as_slice()).unwrap().read_all().unwrap(), codes);
+        // Short by one trailer byte, then by the last payload byte too.
+        for cut in [1, 9] {
+            let got = StoreReader::new(&bytes[..bytes.len() - cut]).unwrap().read_all();
+            let eof =
+                matches!(&got, Err(StoreError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof);
+            assert!(eof, "cut {cut}: {got:?}");
         }
     }
 

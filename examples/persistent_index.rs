@@ -1,6 +1,7 @@
 //! Train once, serve forever: persist the hashing network and the database
-//! codes, reload them in a fresh "process", and answer k-NN queries from the
-//! sharded Hamming index the server uses.
+//! codes (the latter as a checksummed segment store), reload them in a
+//! fresh "process", and answer k-NN queries from the sharded Hamming index
+//! the server uses.
 //!
 //! ```sh
 //! cargo run --release --example persistent_index
@@ -12,7 +13,8 @@ use uhscm::core::UhscmConfig;
 use uhscm::data::{Dataset, DatasetConfig, DatasetKind};
 use uhscm::eval::BitCodes;
 use uhscm::nn::Mlp;
-use uhscm::serve::ShardedIndex;
+use uhscm::serve::GenesisBuilder;
+use uhscm::store::{StoreReader, StoreWriter};
 
 fn main() {
     // --- Offline: train and persist --------------------------------------
@@ -29,8 +31,11 @@ fn main() {
     // Persist network + database codes (here to memory; files in real use).
     let mut net_blob = Vec::new();
     model.network().save(&mut net_blob).expect("serialize network");
-    let mut code_blob = Vec::new();
-    db_codes.save(&mut code_blob).expect("serialize codes");
+    let mut code_blob = Cursor::new(Vec::new());
+    let mut store = StoreWriter::new(&mut code_blob, db_codes.bits()).expect("code width in range");
+    store.append(&db_codes).expect("serialize codes");
+    store.finish().expect("seal the store");
+    let code_blob = code_blob.into_inner();
     println!(
         "persisted: network {} bytes, {} database codes {} bytes",
         net_blob.len(),
@@ -40,8 +45,12 @@ fn main() {
 
     // --- Online: reload and serve ----------------------------------------
     let served_net = Mlp::load(&mut Cursor::new(&net_blob)).expect("reload network");
-    let served_codes = BitCodes::load(&mut Cursor::new(&code_blob)).expect("reload codes");
-    let index = ShardedIndex::new(&served_codes, 2);
+    let mut reader = StoreReader::new(code_blob.as_slice()).expect("reload store header");
+    let mut genesis = GenesisBuilder::new(reader.bits());
+    while let Some(segment) = reader.next_segment().expect("reload segment") {
+        genesis.push(segment);
+    }
+    let index = genesis.finish();
     println!("index online: {} codes in {} shards", index.len(), index.num_shards());
 
     // Encode incoming queries with the reloaded network and search.

@@ -6,7 +6,8 @@
 //! a directory:
 //!
 //! * `model.nn` — the hashing network ([`crate::nn::Mlp`] format),
-//! * `db.codes` — bit-packed database codes ([`crate::eval::BitCodes`]),
+//! * `segments.uhss` — the database codes, one segment in the checksummed
+//!   `uhscm-store` format ([`crate::store`]),
 //! * `meta.txt` — `key=value` lines recording the dataset recipe.
 //!
 //! Subcommands:
@@ -17,7 +18,7 @@
 //! uhscm eval    --bundle DIR          # MAP over the bundle's query split
 //! uhscm query   --bundle DIR --id Q [--top K]
 //! uhscm info    --bundle DIR
-//! uhscm serve   --bundle DIR [--db-store DIR] [--addr HOST:PORT] [--shards N]
+//! uhscm serve   --bundle DIR [--db-store DIR] [--addr HOST:PORT]
 //!               [--max-batch N] [--queue-cap N]
 //!               [--readonly true|false] [--max-top-k N]
 //! uhscm db build  --out DIR [--items N] [--bits K] [--dim D] [--seed S]
@@ -33,15 +34,15 @@
 //! which lets scripts and the CI smoke test drive a full start → mutate →
 //! query → drain cycle without signals.
 //!
-//! The `db` family manages **out-of-core** code databases in the
-//! `uhscm-store` segment format, sized beyond what a bundle's `db.codes`
-//! comfortably holds: `db build` streams a synthetic database through a
-//! randomly-initialized hashing network into `DIR/segments.uhss` in
-//! bounded memory (one `--chunk` of latents at a time), `db info` verifies
-//! and summarizes a store, and `db verify` proves the store-backed index
-//! returns top-k hits bitwise-identical to the in-memory index. `serve
-//! --db-store DIR` then serves straight from the store, one index band per
-//! segment, without ever concatenating the database in memory.
+//! The `db` family manages **out-of-core** code databases in the same
+//! segment format, at sizes no training run produces: `db build` streams a
+//! synthetic database through a randomly-initialized hashing network into
+//! `DIR/segments.uhss` in bounded memory (one `--chunk` of latents at a
+//! time), `db info` verifies and summarizes a store, and `db verify` proves
+//! the store-backed index returns top-k hits bitwise-identical to the
+//! in-memory index. `serve` streams a store into the index, one band per
+//! segment, without ever concatenating the database in memory: the
+//! bundle's own store, or the one in `--db-store DIR`.
 
 use crate::core::pipeline::{Pipeline, SimilaritySource};
 use crate::core::UhscmConfig;
@@ -72,12 +73,11 @@ pub enum Command {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeArgs {
     pub bundle: PathBuf,
-    /// Serve the database from an `uhscm-store` segment store directory
-    /// instead of the bundle's `db.codes` (the bundle still provides the
-    /// model). One index band per on-disk segment.
+    /// Directory of the `uhscm-store` segment store to serve; the bundle
+    /// directory when unset (the bundle always provides the model). One
+    /// index band per on-disk segment.
     pub db_store: Option<PathBuf>,
     pub addr: String,
-    pub shards: usize,
     pub max_batch: usize,
     pub queue_cap: usize,
     /// Refuse the write path (`insert`/`remove`/`reload`) at the protocol
@@ -95,7 +95,6 @@ impl Default for ServeArgs {
             bundle: PathBuf::from("uhscm-bundle"),
             db_store: None,
             addr: config.addr,
-            shards: 2,
             max_batch: config.max_batch,
             queue_cap: config.queue_cap,
             readonly: !config.writable,
@@ -199,7 +198,7 @@ USAGE:
   uhscm eval  --bundle DIR
   uhscm query --bundle DIR --id QUERY_INDEX [--top K]
   uhscm info  --bundle DIR
-  uhscm serve --bundle DIR [--db-store DIR] [--addr HOST:PORT] [--shards N]
+  uhscm serve --bundle DIR [--db-store DIR] [--addr HOST:PORT]
               [--max-batch N] [--queue-cap N]
               [--readonly true|false] [--max-top-k N]
   uhscm db build  --out DIR [--items N] [--bits K] [--dim D] [--seed S]
@@ -207,11 +206,12 @@ USAGE:
   uhscm db info   --store DIR
   uhscm db verify --store DIR [--queries N] [--top K]
 
-`db build` streams an `--items`-sized synthetic database through a seeded
-hashing network into the checksummed `uhscm-store` segment format, holding
-only `--chunk` items in memory at a time; `serve --db-store DIR` serves it
-with one index band per segment, and `db verify` proves the store-backed
-top-k matches the in-memory index bit for bit.
+A bundle keeps its codes in `segments.uhss`, the checksummed `uhscm-store`
+format. `db build` streams an `--items`-sized synthetic database through a
+seeded hashing network into that format, holding only `--chunk` items in
+memory at a time; `serve` serves a store with one index band per segment,
+and `db verify` proves the store-backed top-k matches the in-memory index
+bit for bit.
 
 GLOBAL FLAGS:
   --trace-out FILE   write a JSON-lines telemetry trace to FILE and print a
@@ -337,7 +337,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "bundle" => {}
                     "db-store" => s.db_store = Some(PathBuf::from(v)),
                     "addr" => s.addr = v.clone(),
-                    "shards" => s.shards = parse_num(k, v)?,
                     "max-batch" => s.max_batch = parse_num(k, v)?,
                     "queue-cap" => s.queue_cap = parse_num(k, v)?,
                     "readonly" => s.readonly = parse_bool(k, v)?,
@@ -447,12 +446,26 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
 }
 
 /// Store errors keep their i/o flavor; format violations surface as
-/// corruption (same split `Mlp::load` failures get via [`CliError`]).
-fn store_err(e: StoreError) -> CliError {
-    match e {
-        StoreError::Io(io) => CliError::Io(io),
-        other => CliError::Corrupt(other.to_string()),
+/// corruption (same split `Mlp::load` failures get via [`CliError`]). Both
+/// name the store file, so a bundle without one says what is missing.
+fn store_err(path: &Path) -> impl Fn(StoreError) -> CliError + '_ {
+    move |e| match e {
+        StoreError::Io(io) => {
+            CliError::Io(std::io::Error::new(io.kind(), format!("{}: {io}", path.display())))
+        }
+        other => CliError::Corrupt(format!("{}: {other}", path.display())),
     }
+}
+
+/// Stream a store into generation 0 of a serving index, one band per
+/// segment, without concatenating the database in memory.
+fn stream_index(path: &Path) -> Result<uhscm_serve::ShardedIndex, CliError> {
+    let mut reader = StoreReader::open(path).map_err(store_err(path))?;
+    let mut genesis = uhscm_serve::GenesisBuilder::new(reader.bits());
+    while let Some(segment) = reader.next_segment().map_err(store_err(path))? {
+        genesis.push(segment);
+    }
+    Ok(genesis.finish())
 }
 
 fn dataset_from_meta(meta: &BTreeMap<String, String>) -> Result<(Dataset, u64), CliError> {
@@ -494,8 +507,10 @@ fn run_train(args: &TrainArgs) -> Result<String, CliError> {
     fs::create_dir_all(&args.out)?;
     let mut net_file = fs::File::create(args.out.join("model.nn"))?;
     model.network().save(&mut net_file).map_err(CliError::Io)?;
-    let mut codes_file = fs::File::create(args.out.join("db.codes"))?;
-    db_codes.save(&mut codes_file)?;
+    let path = store_path(&args.out);
+    let mut store = StoreWriter::create(&path, args.bits).map_err(store_err(&path))?;
+    store.append(&db_codes).map_err(store_err(&path))?;
+    store.finish().map_err(store_err(&path))?;
     let meta = format!(
         "dataset={}\nbits={}\nepochs={}\nseed={}\nn_train={}\nn_query={}\nn_database={}\n",
         match args.dataset {
@@ -549,11 +564,13 @@ fn load_bundle(bundle: &Path) -> Result<Bundle, CliError> {
     let mut net_file = fs::File::open(bundle.join("model.nn"))?;
     let network =
         Mlp::load(&mut net_file).map_err(|e| CliError::Corrupt(format!("model.nn: {e}")))?;
-    let mut codes_file = fs::File::open(bundle.join("db.codes"))?;
-    let db_codes = BitCodes::load(&mut codes_file)?;
+    let path = store_path(bundle);
+    let db_codes =
+        StoreReader::open(&path).and_then(StoreReader::read_all).map_err(store_err(&path))?;
     if db_codes.len() != dataset.split.database.len() {
         return Err(CliError::Corrupt(format!(
-            "db.codes has {} codes but the dataset recipe yields {} database items",
+            "{} has {} codes but the dataset recipe yields {} database items",
+            path.display(),
             db_codes.len(),
             dataset.split.database.len()
         )));
@@ -620,38 +637,22 @@ fn run_query(path: &Path, id: usize, top: usize) -> Result<String, CliError> {
 
 /// Serve a bundle over TCP until stdin closes, then drain gracefully.
 ///
-/// Unlike the offline subcommands this one only needs `model.nn` and the
-/// code database — `db.codes`, or with `--db-store DIR` an `uhscm-store`
-/// segment store streamed in segment by segment. The dataset recipe is not
-/// regenerated, so startup is fast even for large databases. The bound address is printed (and flushed)
-/// immediately so scripts driving a piped child can discover the ephemeral
-/// port; the quiescent "close stdin to stop" loop doubles as the drain
-/// trigger for the CI smoke test.
+/// Unlike the offline subcommands this one only needs `model.nn` and a
+/// segment store (the bundle's own, or `--db-store DIR`); the dataset
+/// recipe is not regenerated, so startup is fast even for large databases.
+/// The bound address is printed (and flushed) immediately so scripts
+/// driving a piped child can discover the ephemeral port; the quiescent
+/// "close stdin to stop" loop doubles as the drain trigger for the CI
+/// smoke test.
 fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
     use std::io::Write as _;
 
     let mut net_file = fs::File::open(args.bundle.join("model.nn"))?;
     let network =
         Mlp::load(&mut net_file).map_err(|e| CliError::Corrupt(format!("model.nn: {e}")))?;
-    let engine = match &args.db_store {
-        // Store-backed: stream segments straight into index bands (one
-        // band per segment) without concatenating the database in memory.
-        Some(dir) => {
-            let mut reader = StoreReader::open(&store_path(dir)).map_err(store_err)?;
-            let mut genesis = uhscm_serve::GenesisBuilder::new(reader.bits());
-            while let Some(segment) = reader.next_segment().map_err(store_err)? {
-                genesis.push(segment);
-            }
-            uhscm_serve::Engine::with_vocab_index(network, Vec::new(), genesis.finish())
-                .map_err(|e| CliError::Corrupt(e.to_string()))?
-        }
-        None => {
-            let mut codes_file = fs::File::open(args.bundle.join("db.codes"))?;
-            let db_codes = BitCodes::load(&mut codes_file)?;
-            uhscm_serve::Engine::new(network, &db_codes, args.shards)
-                .map_err(|e| CliError::Corrupt(e.to_string()))?
-        }
-    };
+    let index = stream_index(&store_path(args.db_store.as_ref().unwrap_or(&args.bundle)))?;
+    let engine = uhscm_serve::Engine::with_vocab_index(network, Vec::new(), index)
+        .map_err(|e| CliError::Corrupt(e.to_string()))?;
     let (num_shards, db_len, db_bits) = (engine.num_shards(), engine.db_len(), engine.bits());
     let config = uhscm_serve::ServeConfig {
         addr: args.addr.clone(),
@@ -720,11 +721,13 @@ fn run_db_build(args: &DbBuildArgs) -> Result<String, CliError> {
 
     let config = DatasetConfig { latent_dim: args.dim, ..DatasetConfig::default() };
     let mut stream = LatentStream::new(args.dataset, &config, args.items, args.seed);
-    let mut writer = StoreWriter::create(&store_path(&args.out), args.bits).map_err(store_err)?;
+    let path = store_path(&args.out);
+    let err = store_err(&path);
+    let mut writer = StoreWriter::create(&path, args.bits).map_err(&err)?;
     while let Some(batch) = stream.next_chunk(chunk) {
-        writer.append(&BitCodes::from_real(&model.infer(&batch.latents))).map_err(store_err)?;
+        writer.append(&BitCodes::from_real(&model.infer(&batch.latents))).map_err(&err)?;
     }
-    let summary = writer.finish().map_err(store_err)?;
+    let summary = writer.finish().map_err(&err)?;
 
     let meta = format!(
         "dataset={}\nitems={}\nbits={}\ndim={}\nseed={}\nchunk={}\n",
@@ -754,7 +757,7 @@ fn run_db_build(args: &DbBuildArgs) -> Result<String, CliError> {
 /// when a `store.meta` sits next to the segments).
 fn run_db_info(store: &Path) -> Result<String, CliError> {
     let path = store_path(store);
-    let mut reader = StoreReader::open(&path).map_err(store_err)?;
+    let mut reader = StoreReader::open(&path).map_err(store_err(&path))?;
     let mut out = format!(
         "store: {}\n  bits      : {}\n  codes     : {}\n  segments  : {}\n",
         path.display(),
@@ -764,7 +767,7 @@ fn run_db_info(store: &Path) -> Result<String, CliError> {
     );
     let mut codes = 0usize;
     let mut largest = 0usize;
-    while let Some(segment) = reader.next_segment().map_err(store_err)? {
+    while let Some(segment) = reader.next_segment().map_err(store_err(&path))? {
         codes += segment.len();
         largest = largest.max(segment.len());
     }
@@ -783,17 +786,12 @@ fn run_db_info(store: &Path) -> Result<String, CliError> {
 /// counts 1, 2 and 4, using the store's own first codes as self-queries.
 fn run_db_verify(store: &Path, queries: usize, top: usize) -> Result<String, CliError> {
     let path = store_path(store);
-    let mut reader = StoreReader::open(&path).map_err(store_err)?;
-    let mut genesis = uhscm_serve::GenesisBuilder::new(reader.bits());
-    while let Some(segment) = reader.next_segment().map_err(store_err)? {
-        genesis.push(segment);
-    }
-    let segments = genesis.num_segments();
-    let store_index = genesis.finish();
+    let store_index = stream_index(&path)?;
+    let segments = store_index.num_shards();
 
     // Second pass: the oracle — everything concatenated in memory.
-    let reader = StoreReader::open(&path).map_err(store_err)?;
-    let full = reader.read_all().map_err(store_err)?;
+    let reader = StoreReader::open(&path).map_err(store_err(&path))?;
+    let full = reader.read_all().map_err(store_err(&path))?;
     if full.is_empty() {
         return Ok(format!("store {} is empty; nothing to verify\n", path.display()));
     }
@@ -826,6 +824,7 @@ fn run_db_verify(store: &Path, queries: usize, top: usize) -> Result<String, Cli
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::STORE_FILE;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -865,8 +864,6 @@ mod tests {
             "/tmp/b",
             "--addr",
             "127.0.0.1:9000",
-            "--shards",
-            "4",
             "--max-batch",
             "3",
             "--readonly",
@@ -879,7 +876,6 @@ mod tests {
             Command::Serve(s) => {
                 assert_eq!(s.bundle, PathBuf::from("/tmp/b"));
                 assert_eq!(s.addr, "127.0.0.1:9000");
-                assert_eq!(s.shards, 4);
                 assert_eq!(s.max_batch, 3);
                 assert_eq!(s.queue_cap, ServeArgs::default().queue_cap);
                 assert!(s.readonly);
@@ -894,9 +890,10 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         // --bundle is mandatory; unknown flags are rejected, including
-        // --max-wait-ms (batching has no window to set).
+        // --max-wait-ms (batching has no window to set) and --shards (the
+        // served store's segments are the index bands).
         assert!(matches!(parse(&argv(&["serve"])), Err(CliError::Usage(_))));
-        for flag in ["--nope", "--max-wait-ms"] {
+        for flag in ["--nope", "--max-wait-ms", "--shards"] {
             assert!(matches!(
                 parse(&argv(&["serve", "--bundle", "b", flag, "1"])),
                 Err(CliError::Usage(_))
@@ -1036,6 +1033,33 @@ mod tests {
             run(&Command::Query { bundle: dir.clone(), id: 999, top: 5 }),
             Err(CliError::Usage(_))
         ));
+
+        // The store is the bundle's only code file.
+        let store = store_path(&dir);
+        assert!(store.exists() && fs::read_dir(&dir).unwrap().count() == 3);
+
+        // One flipped payload byte (the last, just before the segment's
+        // checksum trailer) is refused by every reader of the bundle.
+        let mut bytes = fs::read(&store).unwrap();
+        let last_payload = bytes.len() - 9;
+        bytes[last_payload] ^= 1;
+        fs::write(&store, &bytes).unwrap();
+        for cmd in [
+            Command::Eval { bundle: dir.clone() },
+            Command::Query { bundle: dir.clone(), id: 0, top: 5 },
+            Command::Info { bundle: dir.clone() },
+        ] {
+            match run(&cmd) {
+                Err(CliError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{msg}"),
+                other => panic!("{cmd:?}: expected a corrupt store, got {other:?}"),
+            }
+        }
+
+        // Without a store, the error names the missing file.
+        fs::remove_file(&store).unwrap();
+        let err = run(&Command::Info { bundle: dir.clone() }).unwrap_err();
+        assert!(matches!(err, CliError::Io(_)), "{err}");
+        assert!(err.to_string().contains(STORE_FILE), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

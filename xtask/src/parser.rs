@@ -231,8 +231,6 @@ pub struct FnItem {
     pub calls: Vec<Call>,
     /// Method calls (`.f(`), single-segment.
     pub method_calls: Vec<Call>,
-    /// Macro invocations (`f!(..)`), single-segment.
-    pub macros: Vec<Call>,
     pub panic_sites: Vec<PanicSite>,
     /// 0-based line of the body's closing `}` (used for guard-extent
     /// scans; equals `line` until the body closes).
@@ -468,7 +466,6 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                             in_test: file.in_test_region(line),
                             calls: Vec::new(),
                             method_calls: Vec::new(),
-                            macros: Vec::new(),
                             panic_sites: Vec::new(),
                             end_line: line,
                             ret_guard: std::mem::take(&mut pending_ret_guard),
@@ -620,14 +617,6 @@ pub fn parse(file: &MaskedFile) -> ParsedFile {
                     } else if punct(i + 1, '!')
                         && (punct(i + 2, '(') || punct(i + 2, '[') || punct(i + 2, '{'))
                     {
-                        out.fns[fi].macros.push(Call {
-                            segments: vec![name.clone()],
-                            line: t.line,
-                            args: Vec::new(),
-                            bound: None,
-                            recv: None,
-                            field_recv: false,
-                        });
                         if PANIC_MACROS.contains(&name.as_str()) {
                             out.fns[fi]
                                 .panic_sites
@@ -1717,7 +1706,7 @@ mod tests {
         assert!(f.calls.iter().any(|c| c.segments == ["free"]));
         assert!(f.calls.iter().any(|c| c.segments == ["a", "b", "qual"]));
         assert!(f.method_calls.iter().any(|c| c.segments == ["method"]));
-        assert!(f.macros.iter().any(|c| c.segments == ["mac"]));
+        assert!(!f.calls.iter().any(|c| c.segments == ["mac"]));
         // Calls inside macro arguments still register (over-approximation).
         assert!(f.calls.iter().any(|c| c.segments == ["inner"]));
     }
@@ -1732,8 +1721,8 @@ mod tests {
 
     #[test]
     fn ne_operator_is_not_a_macro() {
-        let p = parse_src("fn f(a: usize, b: usize) -> bool { a != b }\n");
-        assert!(fn_named(&p, "f").macros.is_empty());
+        let p = parse_src("fn f(assert: usize, b: usize) -> bool { assert != b }\n");
+        assert!(fn_named(&p, "f").panic_sites.is_empty());
     }
 
     #[test]

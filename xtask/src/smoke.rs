@@ -18,7 +18,8 @@ use std::time::{Duration, Instant};
 /// Run the smoke; returns a human-readable error on any failure.
 pub fn serve_smoke(root: &Path) -> Result<(), String> {
     let bundle = root.join("target/serve-smoke-bundle");
-    if !bundle.join("model.nn").exists() {
+    // Keyed on the code store, so a bundle that predates it is retrained.
+    if !bundle.join("segments.uhss").exists() {
         let status = Command::new("cargo")
             .args(["run", "-q", "--release", "-p", "uhscm", "--bin", "uhscm", "--"])
             .args(["train", "--out"])
@@ -37,7 +38,7 @@ pub fn serve_smoke(root: &Path) -> Result<(), String> {
         .args(["run", "-q", "--release", "-p", "uhscm", "--bin", "uhscm", "--"])
         .args(["serve", "--bundle"])
         .arg(&bundle)
-        .args(["--addr", "127.0.0.1:0", "--shards", "2"])
+        .args(["--addr", "127.0.0.1:0"])
         .current_dir(root)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
