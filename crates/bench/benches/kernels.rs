@@ -213,8 +213,8 @@ fn f64_bits(vals: &[f64]) -> Vec<u64> {
     vals.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Serial-vs-parallel sweep over the four fanned-out layers; writes
-/// `BENCH_kernels.json` at the workspace root.
+/// Serial-vs-parallel sweep over the four fanned-out layers and the bare
+/// spawn + join cost; writes `BENCH_kernels.json` at the workspace root.
 fn parallel_comparison() {
     let threads = par::Parallelism::effective().threads();
     let hardware = HardwareMeta {
@@ -286,6 +286,30 @@ fn parallel_comparison() {
         Some((pairs, "gcodes/s")),
         &|| vec![mean_average_precision(&ranker, &queries, &relevant, 100).to_bits()],
     ));
+
+    // The fan-out's fixed cost: one scoped spawn + join around two empty
+    // chunks, always at two threads; the serial column is the inline call.
+    // Best of many samples, since one sample is tens of microseconds.
+    let spawn_join = || -> Vec<u64> {
+        par::par_map_chunks(2, 0, |r| r).into_iter().flatten().map(|i| i as u64).collect()
+    };
+    let serial_ns = best_ns(1, 2000, &spawn_join);
+    let parallel_ns = best_ns(2, 2000, &spawn_join);
+    println!(
+        "{:<28} {:<24} serial {serial_ns:>12} ns | x2 {parallel_ns:>12} ns",
+        "par_spawn_join", "2 empty chunks"
+    );
+    records.push(KernelRecord {
+        name: "par_spawn_join".to_string(),
+        size: "2 empty chunks".to_string(),
+        threads: 2,
+        serial_ns,
+        parallel_ns,
+        speedup: serial_ns as f64 / parallel_ns as f64,
+        bitwise_identical: par::with_threads(1, spawn_join) == par::with_threads(2, spawn_join),
+        throughput: None,
+        throughput_unit: None,
+    });
 
     // Tuned-vs-naive deltas: the register-tiled dense kernels against the
     // straight-loop references in `uhscm_linalg::kernels`, and the batched

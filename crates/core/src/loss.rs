@@ -23,7 +23,7 @@
 //! the substitution.
 
 use uhscm_linalg::Matrix;
-use uhscm_nn::pairwise::{cosine_grad, cosine_matrix};
+use uhscm_nn::pairwise::{add_quantization_loss, cosine_grad, cosine_matrix};
 
 /// Weights of the three loss terms for one batch.
 #[derive(Debug, Clone, Copy)]
@@ -99,19 +99,7 @@ pub fn hashing_loss_and_grad(z: &Matrix, q: &Matrix, p: &LossParams) -> (LossBre
     let mut grad = cosine_grad(z, &h, &norms, &g);
 
     // --- quantization term ---
-    let mut loss_q = 0.0;
-    if p.beta > 0.0 {
-        let scale = p.beta / t as f64;
-        for i in 0..t {
-            let gi = grad.row_mut(i);
-            for (col, &v) in z.row(i).iter().enumerate() {
-                let b = if v > 0.0 { 1.0 } else { -1.0 };
-                let d = v - b;
-                loss_q += scale * d * d;
-                gi[col] += 2.0 * scale * d;
-            }
-        }
-    }
+    let loss_q = add_quantization_loss(z, p.beta, &mut grad);
 
     uhscm_linalg::check_scalar_finite!("hashing_loss", "similarity term (Eq. 7)", loss_s);
     uhscm_linalg::check_scalar_finite!("hashing_loss", "contrastive term (Eq. 8)", loss_c);

@@ -100,35 +100,29 @@ impl Similarity {
 fn unit_rows(x: &Matrix) -> Matrix {
     let (n, d) = x.shape();
     let mut unit = x.clone();
-    let fanned =
-        par::try_par_row_bands_mut(unit.as_mut_slice(), d, n.saturating_mul(d), |_, band| {
-            for row in band.chunks_mut(d) {
-                vecops::normalize(row);
-            }
-        });
-    if !fanned {
-        for i in 0..n {
-            vecops::normalize(unit.row_mut(i));
+    par::par_row_bands_mut(unit.as_mut_slice(), d, n.saturating_mul(d), |_, band| {
+        for row in band.chunks_mut(d) {
+            vecops::normalize(row);
         }
-    }
+    });
     unit
 }
 
 /// Dense cosine Gram matrix of the rows of `x`: the reference that
 /// [`Similarity::block`] must match bitwise.
 ///
-/// Output rows fan out over the `uhscm-linalg::par` runtime. The banded
-/// path computes each row `i` in full (`dot(r_i, r_j)` for all `j`), which
-/// is bitwise identical to the serial symmetric pass: IEEE-754
-/// multiplication commutes, and both paths sum over the feature index in
-/// ascending order.
+/// Output rows fan out over the `uhscm-linalg::par` runtime. Each row `i`
+/// is computed in full (`dot(r_i, r_j)` for all `j`), so any band split
+/// gives the same bits; it also matches `block`'s mirrored upper triangle,
+/// because IEEE-754 multiplication commutes and `dot` sums over the
+/// feature index in ascending order.
 pub fn cosine_gram(x: &Matrix) -> Matrix {
     let n = x.rows();
     let d = x.cols();
     let unit = unit_rows(x);
     let mut q = Matrix::zeros(n, n);
     let work = n.saturating_mul(n).saturating_mul(d);
-    let fanned = par::try_par_row_bands_mut(q.as_mut_slice(), n, work, |row0, band| {
+    par::par_row_bands_mut(q.as_mut_slice(), n, work, |row0, band| {
         for (bi, q_row) in band.chunks_mut(n).enumerate() {
             let i = row0 + bi;
             let ri = unit.row(i);
@@ -137,17 +131,6 @@ pub fn cosine_gram(x: &Matrix) -> Matrix {
             }
         }
     });
-    if !fanned {
-        for i in 0..n {
-            q[(i, i)] = 1.0;
-            let ri = unit.row(i).to_vec();
-            for j in (i + 1)..n {
-                let v = vecops::dot(&ri, unit.row(j));
-                q[(i, j)] = v;
-                q[(j, i)] = v;
-            }
-        }
-    }
     q
 }
 

@@ -180,56 +180,12 @@ impl Dataset {
     pub fn generate(kind: DatasetKind, config: &DatasetConfig, seed: u64) -> Self {
         assert!(config.n_train <= config.n_database, "train set must fit in database");
         let mut r = rng::seeded(seed);
-        let class_names = kind.class_names();
+        let recipe = ItemRecipe::new(kind, config);
         let n = config.n_query + config.n_database;
-
-        // Resolve co-occurrence groups to class indices once.
-        let groups: Vec<Vec<usize>> = kind
-            .cooccurrence_groups()
-            .iter()
-            .map(|g| {
-                g.iter()
-                    .map(|name| {
-                        class_names
-                            .iter()
-                            .position(|c| c == name)
-                            .unwrap_or_else(|| panic!("group class {name} not in {kind:?}"))
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Cache class prototypes and the distractor pool (NUS-WIDE 81).
-        let class_protos: Vec<Vec<f64>> =
-            class_names.iter().map(|c| prototype(c, config.latent_dim)).collect();
-        let distractor_pool: Vec<Vec<f64>> =
-            vocab::NUS_WIDE_81.iter().map(|c| prototype(c, config.latent_dim)).collect();
-
         let mut labels = Vec::with_capacity(n);
         let mut latents = Matrix::zeros(n, config.latent_dim);
         for i in 0..n {
-            let item_labels = sample_labels(kind, &groups, class_names.len(), &mut r);
-            let row = latents.row_mut(i);
-            for &c in &item_labels {
-                let w = r.gen_range(0.8..1.2);
-                for (v, &p) in row.iter_mut().zip(&class_protos[c]) {
-                    *v += w * p;
-                }
-            }
-            if r.gen::<f64>() < config.distractor_prob {
-                let d = r.gen_range(0..distractor_pool.len());
-                for (v, &p) in row.iter_mut().zip(&distractor_pool[d]) {
-                    *v += config.distractor_weight * p;
-                }
-            }
-            // `context_noise` is the expected *norm* of the noise vector, so
-            // the signal-to-noise ratio is independent of `latent_dim`.
-            let sigma = config.context_noise / (config.latent_dim as f64).sqrt();
-            for v in row.iter_mut() {
-                *v += sigma * rng::gauss(&mut r);
-            }
-            vecops::normalize(row);
-            labels.push(item_labels);
+            labels.push(recipe.draw(&mut r, latents.row_mut(i)));
         }
 
         // Split: first n_query items are queries, the rest the database;
@@ -242,7 +198,8 @@ impl Dataset {
                 .map(|offset| database[offset])
                 .collect();
 
-        Self { kind, class_names, labels, latents, split: Split { train, query, database } }
+        let split = Split { train, query, database };
+        Self { kind, class_names: recipe.class_names, labels, latents, split }
     }
 
     /// Total number of items (queries + database).
@@ -266,28 +223,95 @@ impl Dataset {
     }
 }
 
-/// Sample one item's label set.
-pub(crate) fn sample_labels(
+/// The per-item synthesis both generators share: [`Dataset::generate`]
+/// feeds it one sequential RNG, [`crate::LatentStream`] one RNG per item
+/// index. Holds the kind's class names, its co-occurrence groups resolved
+/// to class indices, and the class and distractor prototypes.
+pub(crate) struct ItemRecipe {
     kind: DatasetKind,
-    groups: &[Vec<usize>],
-    n_classes: usize,
-    r: &mut impl Rng,
-) -> Vec<usize> {
-    if !kind.multi_label() {
-        return vec![r.gen_range(0..n_classes)];
+    pub(crate) class_names: Vec<String>,
+    groups: Vec<Vec<usize>>,
+    class_protos: Vec<Vec<f64>>,
+    /// The distractor pool: the NUS-WIDE 81 concepts.
+    distractor_pool: Vec<Vec<f64>>,
+    pub(crate) config: DatasetConfig,
+}
+
+impl ItemRecipe {
+    /// Resolve `kind`'s co-occurrence groups and cache its prototypes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a co-occurrence group names a class `kind` does not
+    /// define.
+    pub(crate) fn new(kind: DatasetKind, config: &DatasetConfig) -> Self {
+        let class_names = kind.class_names();
+        let groups = kind
+            .cooccurrence_groups()
+            .iter()
+            .map(|g| {
+                g.iter()
+                    .map(|name| {
+                        class_names
+                            .iter()
+                            .position(|c| c == name)
+                            .unwrap_or_else(|| panic!("group class {name} not in {kind:?}"))
+                    })
+                    .collect()
+            })
+            .collect();
+        let class_protos = class_names.iter().map(|c| prototype(c, config.latent_dim)).collect();
+        let distractor_pool =
+            vocab::NUS_WIDE_81.iter().map(|c| prototype(c, config.latent_dim)).collect();
+        Self { kind, class_names, groups, class_protos, distractor_pool, config: config.clone() }
     }
-    let group = &groups[r.gen_range(0..groups.len())];
-    let mut set: Vec<usize> = group.iter().copied().filter(|_| r.gen::<f64>() < 0.55).collect();
-    if set.is_empty() {
-        set.push(group[r.gen_range(0..group.len())]);
+
+    /// Draw one item from `r` into the zeroed `row` and return its sorted
+    /// label set: labels, then one weight per label's prototype, then a
+    /// possible distractor, then context noise; the row ends unit-norm.
+    pub(crate) fn draw(&self, r: &mut impl Rng, row: &mut [f64]) -> Vec<usize> {
+        let labels = self.sample_labels(r);
+        for &c in &labels {
+            let w = r.gen_range(0.8..1.2);
+            for (v, &p) in row.iter_mut().zip(&self.class_protos[c]) {
+                *v += w * p;
+            }
+        }
+        if r.gen::<f64>() < self.config.distractor_prob {
+            let d = r.gen_range(0..self.distractor_pool.len());
+            for (v, &p) in row.iter_mut().zip(&self.distractor_pool[d]) {
+                *v += self.config.distractor_weight * p;
+            }
+        }
+        // `context_noise` is the expected *norm* of the noise vector, so
+        // the signal-to-noise ratio is independent of `latent_dim`.
+        let sigma = self.config.context_noise / (self.config.latent_dim as f64).sqrt();
+        for v in row.iter_mut() {
+            *v += sigma * rng::gauss(r);
+        }
+        vecops::normalize(row);
+        labels
     }
-    // Occasional unrelated extra label, as in real multi-label corpora.
-    if r.gen::<f64>() < 0.25 {
-        set.push(r.gen_range(0..n_classes));
+
+    /// Sample one item's label set.
+    fn sample_labels(&self, r: &mut impl Rng) -> Vec<usize> {
+        let n_classes = self.class_names.len();
+        if !self.kind.multi_label() {
+            return vec![r.gen_range(0..n_classes)];
+        }
+        let group = &self.groups[r.gen_range(0..self.groups.len())];
+        let mut set: Vec<usize> = group.iter().copied().filter(|_| r.gen::<f64>() < 0.55).collect();
+        if set.is_empty() {
+            set.push(group[r.gen_range(0..group.len())]);
+        }
+        // Occasional unrelated extra label, as in real multi-label corpora.
+        if r.gen::<f64>() < 0.25 {
+            set.push(r.gen_range(0..n_classes));
+        }
+        set.sort_unstable();
+        set.dedup();
+        set
     }
-    set.sort_unstable();
-    set.dedup();
-    set
 }
 
 /// Ground-truth relevance of §4.2: two items are similar iff their label

@@ -17,16 +17,14 @@
 //!   per item (every benchmark kind has ≤ 32 evaluation classes), so the
 //!   relevance oracle for 1M items is 4 MB, not a `Vec<Vec<usize>>`.
 //!
-//! The per-item semantics (label sampling, prototype mixing, distractors,
-//! context noise, normalization) are exactly those of `Dataset::generate`;
-//! only the RNG schedule differs, which is why the two generators coexist
-//! rather than one replacing the other.
+//! Both generators draw every item through one shared recipe (label
+//! sampling, prototype mixing, distractors, context noise, normalization);
+//! they differ only in the RNG they hand it. `Dataset::generate` passes
+//! its one sequential RNG, which pins the experiment goldens; the stream
+//! passes a fresh RNG per item index, which buys chunk-size invariance.
 
-use crate::concepts::prototype;
-use crate::dataset::{sample_labels, DatasetConfig, DatasetKind};
-use crate::vocab;
-use rand::Rng;
-use uhscm_linalg::{rng, vecops, Matrix};
+use crate::dataset::{DatasetConfig, DatasetKind, ItemRecipe};
+use uhscm_linalg::{rng, Matrix};
 
 /// One generated chunk: items `start .. start + latents.rows()` of the
 /// stream, in order.
@@ -49,13 +47,8 @@ pub fn share_mask(a: u32, b: u32) -> bool {
 
 /// A deterministic, chunk-size-invariant generator of dataset items.
 pub struct LatentStream {
-    kind: DatasetKind,
-    config: DatasetConfig,
+    recipe: ItemRecipe,
     seed: u64,
-    groups: Vec<Vec<usize>>,
-    n_classes: usize,
-    class_protos: Vec<Vec<f64>>,
-    distractor_pool: Vec<Vec<f64>>,
     next: usize,
     total: usize,
 }
@@ -70,37 +63,9 @@ impl LatentStream {
     /// label-mask width) or if a co-occurrence group names a class the
     /// kind does not define.
     pub fn new(kind: DatasetKind, config: &DatasetConfig, total: usize, seed: u64) -> Self {
-        let class_names = kind.class_names();
-        assert!(class_names.len() <= 32, "label masks hold at most 32 classes");
-        let groups: Vec<Vec<usize>> = kind
-            .cooccurrence_groups()
-            .iter()
-            .map(|g| {
-                g.iter()
-                    .map(|name| {
-                        class_names
-                            .iter()
-                            .position(|c| c == name)
-                            .unwrap_or_else(|| panic!("group class {name} not in {kind:?}"))
-                    })
-                    .collect()
-            })
-            .collect();
-        let class_protos: Vec<Vec<f64>> =
-            class_names.iter().map(|c| prototype(c, config.latent_dim)).collect();
-        let distractor_pool: Vec<Vec<f64>> =
-            vocab::NUS_WIDE_81.iter().map(|c| prototype(c, config.latent_dim)).collect();
-        Self {
-            kind,
-            config: config.clone(),
-            seed,
-            groups,
-            n_classes: class_names.len(),
-            class_protos,
-            distractor_pool,
-            next: 0,
-            total,
-        }
+        let recipe = ItemRecipe::new(kind, config);
+        assert!(recipe.class_names.len() <= 32, "label masks hold at most 32 classes");
+        Self { recipe, seed, next: 0, total }
     }
 
     /// Total items the stream will produce.
@@ -121,7 +86,7 @@ impl LatentStream {
             return None;
         }
         let start = self.next;
-        let mut latents = Matrix::zeros(take, self.config.latent_dim);
+        let mut latents = Matrix::zeros(take, self.recipe.config.latent_dim);
         let mut label_masks = Vec::with_capacity(take);
         for k in 0..take {
             label_masks.push(self.fill_item(start + k, latents.row_mut(k)));
@@ -137,30 +102,8 @@ impl LatentStream {
         // adjacent indices still yield uncorrelated streams.
         let item_seed =
             self.seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index as u64 ^ 0x243f_6a88_85a3_08d3);
-        let mut r = rng::seeded(item_seed);
-        let labels = sample_labels(self.kind, &self.groups, self.n_classes, &mut r);
-        for &c in &labels {
-            let w = r.gen_range(0.8..1.2);
-            for (v, &p) in row.iter_mut().zip(&self.class_protos[c]) {
-                *v += w * p;
-            }
-        }
-        if r.gen::<f64>() < self.config.distractor_prob {
-            let d = r.gen_range(0..self.distractor_pool.len());
-            for (v, &p) in row.iter_mut().zip(&self.distractor_pool[d]) {
-                *v += self.config.distractor_weight * p;
-            }
-        }
-        let sigma = self.config.context_noise / (self.config.latent_dim as f64).sqrt();
-        for v in row.iter_mut() {
-            *v += sigma * rng::gauss(&mut r);
-        }
-        vecops::normalize(row);
-        let mut mask = 0u32;
-        for &c in &labels {
-            mask |= 1 << c;
-        }
-        mask
+        let labels = self.recipe.draw(&mut rng::seeded(item_seed), row);
+        labels.iter().fold(0, |mask, &c| mask | 1 << c)
     }
 }
 
@@ -168,6 +111,7 @@ impl LatentStream {
 mod tests {
     use super::*;
     use crate::dataset::share_label;
+    use uhscm_linalg::vecops;
 
     fn drain(mut s: LatentStream, chunk: usize) -> (Vec<f64>, Vec<u32>) {
         let mut flat = Vec::new();

@@ -2,8 +2,8 @@
 //!
 //! A deliberately small surface: exactly the operations the UHSCM pipeline
 //! and its baselines use, with no per-element allocation. The three matrix
-//! products run the register-tiled band kernels of [`crate::kernels`] on
-//! both the serial and the [`crate::par`] row-band paths.
+//! products run the register-tiled band kernels of [`crate::kernels`]
+//! through [`crate::par::par_row_bands_mut`], as one band or many.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -187,12 +187,9 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
         let cols = other.cols;
         let work = self.rows.saturating_mul(self.cols).saturating_mul(cols);
-        let fanned = crate::par::try_par_row_bands_mut(&mut out.data, cols, work, |row0, band| {
+        crate::par::par_row_bands_mut(&mut out.data, cols, work, |row0, band| {
             crate::kernels::matmul_band(self, row0, other, band);
         });
-        if !fanned {
-            crate::kernels::matmul_band(self, 0, other, &mut out.data);
-        }
         out
     }
 
@@ -215,12 +212,9 @@ impl Matrix {
         let mut out = Matrix::zeros(self.cols, other.cols);
         let cols = other.cols;
         let work = self.rows.saturating_mul(self.cols).saturating_mul(cols);
-        let fanned = crate::par::try_par_row_bands_mut(&mut out.data, cols, work, |row0, band| {
+        crate::par::par_row_bands_mut(&mut out.data, cols, work, |row0, band| {
             crate::kernels::t_matmul_band(self, row0, other, band);
         });
-        if !fanned {
-            crate::kernels::t_matmul_band(self, 0, other, &mut out.data);
-        }
         out
     }
 
@@ -241,12 +235,9 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
         let cols = other.rows;
         let work = self.rows.saturating_mul(self.cols).saturating_mul(cols);
-        let fanned = crate::par::try_par_row_bands_mut(&mut out.data, cols, work, |row0, band| {
+        crate::par::par_row_bands_mut(&mut out.data, cols, work, |row0, band| {
             crate::kernels::matmul_t_band(self, row0, other, band);
         });
-        if !fanned {
-            crate::kernels::matmul_t_band(self, 0, other, &mut out.data);
-        }
         out
     }
 

@@ -3,33 +3,39 @@
 //! Every parallel kernel in the repository fans out through this module
 //! (enforced by the `raw-thread` lint rule in `uhscm-xtask`). The design
 //! goal is *bitwise determinism*: a kernel run with any thread count
-//! produces exactly the same `f64` bit patterns as the serial path, so
-//! seeds, goldens and the `checked` sanitizer stay valid regardless of the
-//! machine the workspace lands on.
+//! produces exactly the same `f64` bit patterns, so seeds, goldens and the
+//! `checked` sanitizer stay valid regardless of the machine the workspace
+//! lands on.
 //!
 //! # Determinism contract
+//!
+//! A kernel has **one body**, written over a band of output rows (or a
+//! chunk of units), and its output is that of *any band split of that
+//! body*. The serial path is not a second loop: it is the same body run
+//! once over the whole buffer.
 //!
 //! * Work is split into **contiguous output bands** by [`partition`]: band
 //!   boundaries depend only on the unit count and the thread count, never
 //!   on timing.
-//! * Each output element is written by exactly one thread, and every
+//! * Each output element is written by exactly one band, and every
 //!   floating-point reduction that feeds an element (e.g. the `k` loop of a
-//!   matmul row) runs in the same order as the serial loop. Threads change
-//!   only the interleaving *across* elements, which IEEE-754 cannot observe.
+//!   matmul row) runs in an order that does not depend on where the band
+//!   starts or ends. Bands change only the interleaving *across* elements,
+//!   which IEEE-754 cannot observe.
 //! * Cross-element reductions (gradient buffers, per-query metric sums) are
 //!   collected per unit and folded on the calling thread in ascending unit
-//!   order — the exact serial order.
+//!   order, whatever the split.
 //!
 //! # Thread-count resolution
 //!
 //! 1. innermost [`with_threads`] override on the current thread (used by
 //!    tests and benches; forces fan-out even below the work threshold),
 //! 2. the `UHSCM_THREADS` environment variable (a positive integer; `1`
-//!    forces the exact serial path, unparseable values fall back to 3.),
+//!    runs every body once, inline; unparseable values fall back to 3.),
 //! 3. `std::thread::available_parallelism()`.
 //!
 //! Without an explicit override, kernels whose estimated work is below
-//! [`MIN_PAR_WORK`] element-ops stay serial — spawn cost would dominate.
+//! [`MIN_PAR_WORK`] element-ops run as one band — spawn cost would dominate.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -65,16 +71,6 @@ impl Parallelism {
     /// this thread, else `UHSCM_THREADS`, else available cores.
     pub fn effective() -> Self {
         Self { threads: OVERRIDE.with(Cell::get).unwrap_or_else(configured_threads) }
-    }
-
-    /// Exactly the serial path.
-    pub fn serial() -> Self {
-        Self { threads: 1 }
-    }
-
-    /// A fixed thread count (clamped to at least 1).
-    pub fn fixed(threads: usize) -> Self {
-        Self { threads: threads.max(1) }
     }
 
     /// Number of worker threads kernels may use.
@@ -117,7 +113,7 @@ pub fn partition(n: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 /// How many bands to fan `units` work items out over; `1` means "run the
-/// caller's serial path".
+/// body once, inline".
 fn plan(units: usize, work: usize) -> usize {
     let forced = OVERRIDE.with(Cell::get);
     let threads = forced.unwrap_or_else(configured_threads);
@@ -144,58 +140,51 @@ fn record_bands(ranges: &[Range<usize>]) {
 }
 
 /// Fan a mutable row-major buffer (`cols` elements per row) out over
-/// contiguous row bands, calling `f(first_row, band)` on each band. The
-/// final band runs inline on the calling thread, so a fan-out over `p`
-/// bands spawns only `p - 1` workers — at one effective thread no thread is
-/// ever spawned, and the calling core does real work instead of parking in
-/// `join`. Workers (and the inline band) run with their own override pinned
-/// to `1`, so kernels called from inside a band never nest another fan-out.
+/// contiguous row bands, calling `f(first_row, band)` on each band. `f` is
+/// the kernel's only body: a serial plan (one band, or sub-threshold work)
+/// calls `f(0, buf)` once, inline on the calling thread, and an empty
+/// buffer or zero `cols` calls nothing. The caller's contract is that any
+/// band split of `f` gives the same bits as that one band.
 ///
-/// Returns `false` — without calling `f` — when the plan is serial (one
-/// band, zero `cols`, or sub-threshold work): the caller then runs its own
-/// serial loop, which may use a different (cache-friendlier) traversal
-/// order as long as every output element sees the same operation order.
-pub fn try_par_row_bands_mut<T, F>(buf: &mut [T], cols: usize, work: usize, f: F) -> bool
+/// A fan-out over `p` bands spawns `p - 1` workers and runs the final band
+/// inline on the calling thread, so the calling core does real work
+/// instead of parking in `join`. Workers (and the inline band) run with
+/// their own override pinned to `1`, so kernels called from inside a band
+/// never nest another fan-out.
+pub fn par_row_bands_mut<T, F>(buf: &mut [T], cols: usize, work: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    if cols == 0 {
-        return false;
-    }
-    let rows = buf.len() / cols;
+    let Some(rows) = buf.len().checked_div(cols) else {
+        return;
+    };
     let parts = plan(rows, work);
     if parts <= 1 {
-        return false;
+        if !buf.is_empty() {
+            f(0, buf);
+        }
+        return;
     }
     let ranges = partition(rows, parts);
     record_bands(&ranges);
-    std::thread::scope(|s| {
-        let mut rest: &mut [T] = buf;
-        let last = ranges.len() - 1;
-        let mut inline: Option<(usize, &mut [T])> = None;
-        for (bi, r) in ranges.into_iter().enumerate() {
+    let mut rest = buf;
+    let bands: Vec<(usize, &mut [T])> = ranges
+        .into_iter()
+        .map(|r| {
             let (band, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * cols);
             rest = tail;
-            if bi == last {
-                inline = Some((r.start, band));
-            } else {
-                let f = &f;
-                s.spawn(move || with_threads(1, || f(r.start, band)));
-            }
-        }
-        if let Some((start, band)) = inline {
-            with_threads(1, || f(start, band));
-        }
-    });
-    true
+            (r.start, band)
+        })
+        .collect();
+    fan_out(bands, |(first_row, band)| f(first_row, band));
 }
 
 /// Map `0..n` through `f` by contiguous chunks, collecting the per-chunk
 /// results in ascending chunk order. A serial plan runs `f(0..n)` inline on
 /// the calling thread (the exact serial path); `n == 0` yields no chunks.
-/// Like [`try_par_row_bands_mut`], the final chunk runs inline on the
-/// calling thread — `p` chunks cost `p - 1` spawns.
+/// Like [`par_row_bands_mut`], the final chunk runs inline on the calling
+/// thread — `p` chunks cost `p - 1` spawns.
 ///
 /// Callers that reduce floating-point values across units must emit one
 /// value *per unit* (not per chunk) and fold them in unit order — chunk
@@ -209,28 +198,34 @@ where
     if parts <= 1 {
         return if n == 0 { Vec::new() } else { vec![f(0..n)] };
     }
-    let mut ranges = partition(n, parts);
+    let ranges = partition(n, parts);
     record_bands(&ranges);
-    // `parts >= 2` so the pop always succeeds; the last chunk is the
-    // caller's share.
-    let last_range = ranges.pop();
+    fan_out(ranges, f)
+}
+
+/// The one spawn/join loop behind both fan-out primitives: every item but
+/// the last runs on a scoped worker, the last runs inline on the calling
+/// thread, each under a `with_threads(1)` pin. Results come back in item
+/// order, and a worker's panic reaches the caller with its own payload.
+fn fan_out<I, R, F>(mut items: Vec<I>, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
+    let Some(last) = items.pop() else {
+        return Vec::new();
+    };
+    let f = &f;
     std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let f = &f;
-                s.spawn(move || with_threads(1, || f(r)))
-            })
-            .collect();
-        let last = last_range.map(|r| with_threads(1, || f(r)));
+        let handles: Vec<_> =
+            items.into_iter().map(|item| s.spawn(move || with_threads(1, || f(item)))).collect();
+        let last = with_threads(1, || f(last));
         let mut out: Vec<R> = handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect();
-        out.extend(last);
+        out.push(last);
         out
     })
 }
@@ -298,31 +293,63 @@ mod tests {
     }
 
     #[test]
-    fn serial_plan_returns_false() {
+    fn serial_plan_is_one_inline_call() {
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
+        let calls: Mutex<Vec<(usize, usize, std::thread::ThreadId)>> = Mutex::new(Vec::new());
         let mut buf = vec![0.0f64; 8];
-        // No override, tiny work: must refuse to fan out.
-        let fanned = try_par_row_bands_mut(&mut buf, 2, 8, |_, _| {});
-        assert!(!fanned);
-        // cols == 0 is always serial.
-        assert!(!try_par_row_bands_mut(&mut buf, 0, usize::MAX, |_, _| {}));
+        // No override, tiny work: one call over the whole buffer.
+        par_row_bands_mut(&mut buf, 2, 8, |first_row, band| {
+            calls.lock().unwrap().push((first_row, band.len(), std::thread::current().id()));
+        });
+        assert_eq!(calls.into_inner().unwrap(), vec![(0, 8, caller)]);
+    }
+
+    #[test]
+    fn empty_buffer_or_zero_cols_calls_nothing() {
+        let called = std::sync::atomic::AtomicBool::new(false);
+        let body =
+            |_: usize, _: &mut [f64]| called.store(true, std::sync::atomic::Ordering::SeqCst);
+        with_threads(4, || {
+            par_row_bands_mut(&mut [], 3, usize::MAX, body);
+            par_row_bands_mut(&mut [0.0; 6], 0, usize::MAX, body);
+        });
+        par_row_bands_mut(&mut [], 3, 0, body);
+        assert!(!called.into_inner());
     }
 
     #[test]
     fn forced_fanout_writes_disjoint_bands() {
         let mut buf = vec![0.0f64; 10 * 3];
-        let fanned = with_threads(4, || {
-            try_par_row_bands_mut(&mut buf, 3, 0, |first_row, band| {
+        with_threads(4, || {
+            par_row_bands_mut(&mut buf, 3, 0, |first_row, band| {
                 for (k, row) in band.chunks_exact_mut(3).enumerate() {
                     for v in row {
                         *v = (first_row + k) as f64;
                     }
                 }
-            })
+            });
         });
-        assert!(fanned);
         for (i, row) in buf.chunks_exact(3).enumerate() {
             assert!(row.iter().all(|&v| v == i as f64), "row {i} corrupted: {row:?}");
         }
+    }
+
+    #[test]
+    fn row_band_panic_keeps_its_payload() {
+        with_threads(4, || {
+            let mut buf = vec![0.0f64; 8];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                par_row_bands_mut(&mut buf, 1, 0, |first_row, _| {
+                    if first_row == 0 {
+                        std::panic::panic_any("boom")
+                    }
+                });
+            }));
+            let payload = caught.expect_err("worker panic must propagate");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+            assert_eq!(Parallelism::effective().threads(), 4);
+        });
     }
 
     #[test]
@@ -352,12 +379,11 @@ mod tests {
         let caller = std::thread::current().id();
         let seen: Mutex<Vec<(usize, std::thread::ThreadId)>> = Mutex::new(Vec::new());
         let mut buf = vec![0.0f64; 8 * 2];
-        let fanned = with_threads(4, || {
-            try_par_row_bands_mut(&mut buf, 2, 0, |first_row, _| {
+        with_threads(4, || {
+            par_row_bands_mut(&mut buf, 2, 0, |first_row, _| {
                 seen.lock().unwrap().push((first_row, std::thread::current().id()));
-            })
+            });
         });
-        assert!(fanned);
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable_by_key(|&(row, _)| row);
         assert_eq!(seen.len(), 4);

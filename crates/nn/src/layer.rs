@@ -73,16 +73,13 @@ impl Linear {
         uhscm_linalg::check_finite!("Linear::forward", "pre-activation", &y);
         let cols = self.fan_out();
         let work = y.rows().saturating_mul(cols).saturating_mul(4);
-        let fanned = par::try_par_row_bands_mut(y.as_mut_slice(), cols, work, |_, band| {
+        par::par_row_bands_mut(y.as_mut_slice(), cols, work, |_, band| {
             for row in band.chunks_mut(cols) {
-                bias_activate(row, &self.bias, self.activation);
+                for (v, &b) in row.iter_mut().zip(&self.bias) {
+                    *v = self.activation.apply(*v + b);
+                }
             }
         });
-        if !fanned {
-            for i in 0..y.rows() {
-                bias_activate(y.row_mut(i), &self.bias, self.activation);
-            }
-        }
         uhscm_linalg::check_finite!("Linear::forward", "output", &y);
         y
     }
@@ -110,44 +107,29 @@ impl Linear {
         let cols = delta.cols();
         let act = self.activation;
         let work = delta.rows().saturating_mul(cols).saturating_mul(2);
-        let fanned = par::try_par_row_bands_mut(delta.as_mut_slice(), cols, work, |row0, band| {
+        par::par_row_bands_mut(delta.as_mut_slice(), cols, work, |row0, band| {
             for (bi, drow) in band.chunks_mut(cols).enumerate() {
-                scale_by_derivative(drow, y.row(row0 + bi), act);
+                for (d, &yv) in drow.iter_mut().zip(y.row(row0 + bi)) {
+                    *d *= act.derivative_from_output(yv);
+                }
             }
         });
-        if !fanned {
-            for i in 0..delta.rows() {
-                scale_by_derivative(delta.row_mut(i), y.row(i), act);
-            }
-        }
 
         // dL/dW += xᵀ δ ;  dL/db += Σ_rows δ ;  dL/dx = δ Wᵀ.
         // The t_matmul and matmul_t kernels fan out over output rows; the
-        // bias gradient fans out over *columns*, so every slot keeps the
-        // serial ascending-row accumulation order (bitwise identical for
-        // any thread count).
+        // bias gradient fans out over *columns*, so every slot keeps one
+        // ascending-row accumulation order (bitwise identical for any
+        // thread count).
         self.grad_weight.axpy(1.0, &x.t_matmul(&delta));
         let n = delta.rows();
-        let fanned = par::try_par_row_bands_mut(
-            &mut self.grad_bias,
-            1,
-            n.saturating_mul(cols),
-            |col0, band| {
-                for i in 0..n {
-                    let drow = delta.row(i);
-                    for (t, g) in band.iter_mut().enumerate() {
-                        *g += drow[col0 + t];
-                    }
-                }
-            },
-        );
-        if !fanned {
+        par::par_row_bands_mut(&mut self.grad_bias, 1, n.saturating_mul(cols), |col0, band| {
             for i in 0..n {
-                for (g, &d) in self.grad_bias.iter_mut().zip(delta.row(i)) {
-                    *g += d;
+                let drow = delta.row(i);
+                for (t, g) in band.iter_mut().enumerate() {
+                    *g += drow[col0 + t];
                 }
             }
-        }
+        });
         let grad_input = delta.matmul_t(&self.weight);
         uhscm_linalg::check_finite!("Linear::backward", "grad_weight", &self.grad_weight);
         uhscm_linalg::check_slice_finite!("Linear::backward", "grad_bias", &self.grad_bias);
@@ -166,24 +148,6 @@ impl Linear {
     /// Number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.weight.rows() * self.weight.cols() + self.bias.len()
-    }
-}
-
-/// Fused bias-add + activation over one output row — the per-row body
-/// shared by the serial and banded paths of [`Linear::infer`].
-#[inline]
-fn bias_activate(row: &mut [f64], bias: &[f64], act: Activation) {
-    for (v, &b) in row.iter_mut().zip(bias) {
-        *v = act.apply(*v + b);
-    }
-}
-
-/// `δ_row ⊙= act'(y_row)` — the per-row body shared by the serial and
-/// banded paths of [`Linear::backward`].
-#[inline]
-fn scale_by_derivative(drow: &mut [f64], y_row: &[f64], act: Activation) {
-    for (d, &yv) in drow.iter_mut().zip(y_row) {
-        *d *= act.derivative_from_output(yv);
     }
 }
 

@@ -40,12 +40,15 @@ impl Bundle {
     /// # Errors
     ///
     /// I/O errors propagate; a corrupt `model.nn` surfaces as
-    /// `InvalidData`. The caller assigns the version at install time, so a
-    /// failed load leaves the serving bundle untouched.
+    /// `InvalidData`. Both name the file. The caller assigns the version at
+    /// install time, so a failed load leaves the serving bundle untouched.
     pub fn load_dir(dir: &Path) -> io::Result<(Mlp, Vec<String>)> {
-        let mut net_file = fs::File::open(dir.join("model.nn"))?;
-        let model = Mlp::load(&mut net_file)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let path = dir.join("model.nn");
+        let named = |kind, e: &dyn std::fmt::Display| {
+            io::Error::new(kind, format!("{}: {e}", path.display()))
+        };
+        let mut net_file = fs::File::open(&path).map_err(|e| named(e.kind(), &e))?;
+        let model = Mlp::load(&mut net_file).map_err(|e| named(io::ErrorKind::InvalidData, &e))?;
         let vocab = match fs::read_to_string(dir.join("vocab.txt")) {
             Ok(raw) => raw
                 .lines()
@@ -103,7 +106,9 @@ mod tests {
     #[test]
     fn missing_model_is_an_error() {
         let dir = temp_dir("nomodel");
-        assert!(Bundle::load_dir(&dir).is_err());
+        let err = Bundle::load_dir(&dir).expect_err("no model.nn");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(err.to_string().contains("model.nn"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

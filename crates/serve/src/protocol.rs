@@ -414,7 +414,8 @@ fn msg_type(v: &Json) -> Result<&str, String> {
 }
 
 /// Member `field` of `v` as an integer in [`Json::as_u64`]'s exact range:
-/// a larger id would come back rounded onto another request's.
+/// a larger value would come back rounded (an id onto another request's).
+/// Both decoders read their integers through it.
 fn uint(v: &Json, field: &str) -> Result<u64, String> {
     v.get(field)
         .and_then(Json::as_u64)
@@ -507,7 +508,7 @@ pub fn decode_response(body: &str) -> Result<Response, String> {
     match msg_type(&v)? {
         "pong" => Ok(Response::Pong),
         "hits" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
+            let id = uint(&v, "id")?;
             let hits = v
                 .get("hits")
                 .and_then(Json::as_arr)
@@ -522,60 +523,43 @@ pub fn decode_response(body: &str) -> Result<Response, String> {
                     Ok((d, i))
                 })
                 .collect::<Result<Vec<(u32, u32)>, &str>>()?;
-            let generation =
-                v.get("generation").and_then(Json::as_u64).ok_or("missing numeric 'generation'")?;
-            let bundle =
-                v.get("bundle").and_then(Json::as_u64).ok_or("missing numeric 'bundle'")?;
+            let generation = uint(&v, "generation")?;
+            let bundle = uint(&v, "bundle")?;
             Ok(Response::Hits { id, hits, generation, bundle })
         }
         "inserted" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
-            let generation = v
-                .get("committed_generation")
-                .and_then(Json::as_u64)
-                .ok_or("missing numeric 'committed_generation'")?;
-            let first_index = v
-                .get("first_index")
-                .and_then(Json::as_u64)
-                .ok_or("missing numeric 'first_index'")?;
-            let count = v.get("count").and_then(Json::as_u64).ok_or("missing numeric 'count'")?;
-            let live = v.get("live").and_then(Json::as_u64).ok_or("missing numeric 'live'")?;
-            let bundle =
-                v.get("bundle").and_then(Json::as_u64).ok_or("missing numeric 'bundle'")?;
+            let id = uint(&v, "id")?;
+            let generation = uint(&v, "committed_generation")?;
+            let first_index = uint(&v, "first_index")?;
+            let count = uint(&v, "count")?;
+            let live = uint(&v, "live")?;
+            let bundle = uint(&v, "bundle")?;
             Ok(Response::Inserted { id, generation, first_index, count, live, bundle })
         }
         "removed" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
-            let generation = v
-                .get("committed_generation")
-                .and_then(Json::as_u64)
-                .ok_or("missing numeric 'committed_generation'")?;
+            let id = uint(&v, "id")?;
+            let generation = uint(&v, "committed_generation")?;
             let removed =
                 v.get("removed").and_then(Json::as_bool).ok_or("missing boolean 'removed'")?;
-            let live = v.get("live").and_then(Json::as_u64).ok_or("missing numeric 'live'")?;
+            let live = uint(&v, "live")?;
             Ok(Response::Removed { id, generation, removed, live })
         }
         "flushed" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
-            let generation = v
-                .get("committed_generation")
-                .and_then(Json::as_u64)
-                .ok_or("missing numeric 'committed_generation'")?;
-            let live = v.get("live").and_then(Json::as_u64).ok_or("missing numeric 'live'")?;
-            let total = v.get("total").and_then(Json::as_u64).ok_or("missing numeric 'total'")?;
-            let bundle =
-                v.get("bundle").and_then(Json::as_u64).ok_or("missing numeric 'bundle'")?;
+            let id = uint(&v, "id")?;
+            let generation = uint(&v, "committed_generation")?;
+            let live = uint(&v, "live")?;
+            let total = uint(&v, "total")?;
+            let bundle = uint(&v, "bundle")?;
             Ok(Response::Flushed { id, generation, live, total, bundle })
         }
         "reloaded" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
-            let bundle =
-                v.get("bundle").and_then(Json::as_u64).ok_or("missing numeric 'bundle'")?;
-            let vocab = v.get("vocab").and_then(Json::as_u64).ok_or("missing numeric 'vocab'")?;
+            let id = uint(&v, "id")?;
+            let bundle = uint(&v, "bundle")?;
+            let vocab = uint(&v, "vocab")?;
             Ok(Response::Reloaded { id, bundle, vocab })
         }
         "error" => {
-            let id = v.get("id").and_then(Json::as_u64).ok_or("missing numeric 'id'")?;
+            let id = uint(&v, "id")?;
             let reason = v
                 .get("reason")
                 .and_then(Json::as_str)
@@ -716,6 +700,13 @@ mod tests {
         let expected =
             Response::Hits { id: 1, hits: vec![(u32::MAX, u32::MAX)], generation: 0, bundle: 0 };
         assert_eq!(max, expected);
+    }
+
+    #[test]
+    fn receipt_integers_past_2_53_are_refused() {
+        let body = r#"{"type":"removed","id":1,"committed_generation":9007199254740992,"removed":true,"live":3}"#;
+        let detail = decode_response(body).expect_err("past 2^53");
+        assert!(detail.contains("'committed_generation'") && detail.contains("2^53"), "{detail}");
     }
 
     #[test]

@@ -102,27 +102,16 @@ impl SimClip {
         // band order cannot change the draws. Gaussian draws dominate the
         // per-element cost, hence the inflated work estimate.
         let work = emb.rows().saturating_mul(d).saturating_mul(16);
-        let fanned = par::try_par_row_bands_mut(emb.as_mut_slice(), d, work, |row0, band| {
+        par::par_row_bands_mut(emb.as_mut_slice(), d, work, |row0, band| {
             for (bi, row) in band.chunks_mut(d).enumerate() {
-                self.perturb_image_row(latents.row(row0 + bi), sigma, row);
+                let mut r = rng::seeded(self.seed ^ hash_floats(latents.row(row0 + bi)));
+                for v in row.iter_mut() {
+                    *v += sigma * rng::gauss(&mut r);
+                }
+                vecops::normalize(row);
             }
         });
-        if !fanned {
-            for i in 0..emb.rows() {
-                self.perturb_image_row(latents.row(i), sigma, emb.row_mut(i));
-            }
-        }
         emb
-    }
-
-    /// Add the deterministic per-image encoder noise (keyed on the latent
-    /// bytes) and normalize — the per-row body of [`Self::embed_images`].
-    fn perturb_image_row(&self, latent: &[f64], sigma: f64, row: &mut [f64]) {
-        let mut r = rng::seeded(self.seed ^ hash_floats(latent));
-        for v in row.iter_mut() {
-            *v += sigma * rng::gauss(&mut r);
-        }
-        vecops::normalize(row);
     }
 
     /// Text tower: embed a concept rendered through `template`
@@ -166,7 +155,7 @@ impl SimClip {
         let m = concepts.len();
         let mut scores = Matrix::zeros(img.rows(), m);
         let work = img.rows().saturating_mul(m).saturating_mul(self.cfg.embed_dim);
-        let fanned = par::try_par_row_bands_mut(scores.as_mut_slice(), m, work, |row0, band| {
+        par::par_row_bands_mut(scores.as_mut_slice(), m, work, |row0, band| {
             for (bi, srow) in band.chunks_mut(m).enumerate() {
                 let ir = img.row(row0 + bi);
                 for (s, t) in srow.iter_mut().zip(&txt) {
@@ -175,14 +164,6 @@ impl SimClip {
                 }
             }
         });
-        if !fanned {
-            for i in 0..img.rows() {
-                let ir = img.row(i);
-                for (j, t) in txt.iter().enumerate() {
-                    scores[(i, j)] = self.cfg.score_base + self.cfg.score_gain * vecops::dot(ir, t);
-                }
-            }
-        }
         scores
     }
 
@@ -201,7 +182,7 @@ impl SimClip {
         let m = text_embeddings.rows();
         let mut scores = Matrix::zeros(img.rows(), m);
         let work = img.rows().saturating_mul(m).saturating_mul(self.cfg.embed_dim);
-        let fanned = par::try_par_row_bands_mut(scores.as_mut_slice(), m, work, |row0, band| {
+        par::par_row_bands_mut(scores.as_mut_slice(), m, work, |row0, band| {
             for (bi, srow) in band.chunks_mut(m).enumerate() {
                 let ir = img.row(row0 + bi);
                 for (j, s) in srow.iter_mut().enumerate() {
@@ -210,15 +191,6 @@ impl SimClip {
                 }
             }
         });
-        if !fanned {
-            for i in 0..img.rows() {
-                let ir = img.row(i);
-                for j in 0..m {
-                    scores[(i, j)] = self.cfg.score_base
-                        + self.cfg.score_gain * vecops::dot(ir, text_embeddings.row(j));
-                }
-            }
-        }
         scores
     }
 }

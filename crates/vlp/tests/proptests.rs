@@ -1,7 +1,7 @@
 //! Property-based tests for the simulated VLP model.
 
 use proptest::prelude::*;
-use uhscm_linalg::{rng, vecops, Matrix};
+use uhscm_linalg::{par, rng, vecops, Matrix};
 use uhscm_vlp::{PromptTemplate, SimClip, VggFeatures};
 
 fn any_template() -> impl Strategy<Value = PromptTemplate> {
@@ -49,6 +49,33 @@ proptest! {
         prop_assert_eq!(scores.shape(), (4, 3));
         // s = 0.2 + 0.12·cos with cos ∈ [−1, 1].
         prop_assert!(scores.as_slice().iter().all(|&s| (0.079..=0.321).contains(&s)));
+    }
+
+    #[test]
+    fn clip_kernels_parallel_match_serial_bitwise(
+        seed in any::<u64>(),
+        n in 1usize..12,
+        dim in 3usize..20,
+        m in 1usize..7,
+        tpl in any_template(),
+    ) {
+        // Ragged sizes: 2 and 3 threads split the n image rows unevenly.
+        let clip = SimClip::with_defaults(dim, seed);
+        let latents = unit_latents(n, dim, seed ^ 5);
+        let concepts: Vec<String> =
+            ["cat", "dog", "sky", "sea", "car", "tree"][..m].iter().map(|s| s.to_string()).collect();
+        let text_rows: Vec<Vec<f64>> = concepts.iter().map(|c| clip.embed_text(c, tpl)).collect();
+        let text = Matrix::from_rows(&text_rows);
+        let run = || -> Vec<u64> {
+            let emb = clip.embed_images(&latents);
+            let scores = clip.score_matrix(&latents, &concepts, tpl);
+            let against = clip.score_images_against(&latents, &text);
+            [emb, scores, against].iter().flat_map(|x| x.as_slice()).map(|v| v.to_bits()).collect()
+        };
+        let serial = par::with_threads(1, run);
+        for threads in [2usize, 3] {
+            prop_assert_eq!(&serial, &par::with_threads(threads, run));
+        }
     }
 
     #[test]

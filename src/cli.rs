@@ -445,16 +445,27 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
+/// An i/o error that names the file it concerns, so a bundle missing one
+/// says which.
+fn io_err(path: &Path) -> impl Fn(std::io::Error) -> CliError + '_ {
+    move |io| CliError::Io(std::io::Error::new(io.kind(), format!("{}: {io}", path.display())))
+}
+
 /// Store errors keep their i/o flavor; format violations surface as
 /// corruption (same split `Mlp::load` failures get via [`CliError`]). Both
-/// name the store file, so a bundle without one says what is missing.
+/// name the store file.
 fn store_err(path: &Path) -> impl Fn(StoreError) -> CliError + '_ {
     move |e| match e {
-        StoreError::Io(io) => {
-            CliError::Io(std::io::Error::new(io.kind(), format!("{}: {io}", path.display())))
-        }
+        StoreError::Io(io) => io_err(path)(io),
         other => CliError::Corrupt(format!("{}: {other}", path.display())),
     }
+}
+
+/// Load a bundle's `model.nn`; both failure kinds name the file.
+fn load_network(bundle: &Path) -> Result<Mlp, CliError> {
+    let path = bundle.join("model.nn");
+    let mut file = fs::File::open(&path).map_err(io_err(&path))?;
+    Mlp::load(&mut file).map_err(|e| CliError::Corrupt(format!("{}: {e}", path.display())))
 }
 
 /// Stream a store into generation 0 of a serving index, one band per
@@ -536,7 +547,8 @@ fn run_train(args: &TrainArgs) -> Result<String, CliError> {
 }
 
 fn read_meta(bundle: &Path) -> Result<BTreeMap<String, String>, CliError> {
-    let raw = fs::read_to_string(bundle.join("meta.txt"))?;
+    let path = bundle.join("meta.txt");
+    let raw = fs::read_to_string(&path).map_err(io_err(&path))?;
     let mut meta = BTreeMap::new();
     for line in raw.lines() {
         let line = line.trim();
@@ -561,9 +573,7 @@ struct Bundle {
 fn load_bundle(bundle: &Path) -> Result<Bundle, CliError> {
     let meta = read_meta(bundle)?;
     let (dataset, seed) = dataset_from_meta(&meta)?;
-    let mut net_file = fs::File::open(bundle.join("model.nn"))?;
-    let network =
-        Mlp::load(&mut net_file).map_err(|e| CliError::Corrupt(format!("model.nn: {e}")))?;
+    let network = load_network(bundle)?;
     let path = store_path(bundle);
     let db_codes =
         StoreReader::open(&path).and_then(StoreReader::read_all).map_err(store_err(&path))?;
@@ -647,9 +657,7 @@ fn run_query(path: &Path, id: usize, top: usize) -> Result<String, CliError> {
 fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
     use std::io::Write as _;
 
-    let mut net_file = fs::File::open(args.bundle.join("model.nn"))?;
-    let network =
-        Mlp::load(&mut net_file).map_err(|e| CliError::Corrupt(format!("model.nn: {e}")))?;
+    let network = load_network(&args.bundle)?;
     let index = stream_index(&store_path(args.db_store.as_ref().unwrap_or(&args.bundle)))?;
     let engine = uhscm_serve::Engine::with_vocab_index(network, Vec::new(), index)
         .map_err(|e| CliError::Corrupt(e.to_string()))?;
@@ -1055,18 +1063,28 @@ mod tests {
             }
         }
 
-        // Without a store, the error names the missing file.
+        // Without a store, or then without a model, the error names the
+        // missing file.
         fs::remove_file(&store).unwrap();
         let err = run(&Command::Info { bundle: dir.clone() }).unwrap_err();
         assert!(matches!(err, CliError::Io(_)), "{err}");
         assert!(err.to_string().contains(STORE_FILE), "{err}");
+        fs::remove_file(dir.join("model.nn")).unwrap();
+        let serve = ServeArgs { bundle: dir.clone(), ..ServeArgs::default() };
+        for cmd in [Command::Info { bundle: dir.clone() }, Command::Serve(serve)] {
+            let err = run(&cmd).unwrap_err();
+            assert!(matches!(err, CliError::Io(_)), "{err}");
+            assert!(err.to_string().contains("model.nn"), "{cmd:?}: {err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn eval_on_missing_bundle_is_io_error() {
         let missing = PathBuf::from("/definitely/not/here");
-        assert!(matches!(run(&Command::Eval { bundle: missing }), Err(CliError::Io(_))));
+        let err = run(&Command::Eval { bundle: missing }).unwrap_err();
+        assert!(matches!(err, CliError::Io(_)), "{err}");
+        assert!(err.to_string().contains("meta.txt"), "{err}");
     }
 
     #[test]

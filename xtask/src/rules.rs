@@ -304,7 +304,7 @@ fn raw_thread(path: &str, file: &MaskedFile, findings: &mut Vec<Finding>) {
                     lineno,
                     format!(
                         "`thread::{tok}` outside linalg::par / serve::pool: use \
-                         uhscm_linalg::par (try_par_row_bands_mut / par_map_chunks) \
+                         uhscm_linalg::par (par_row_bands_mut / par_map_chunks) \
                          or uhscm_serve's WorkerPool so partitioning, thread count \
                          and shutdown joins stay in audited modules"
                     ),
