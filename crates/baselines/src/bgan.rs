@@ -64,7 +64,7 @@ pub fn train(features: &Matrix, bits: usize, config: &DeepBaselineConfig, seed: 
             grad_z.axpy(1.0, &grad_z_from_decoder);
 
             let _ = encoder.forward(&x);
-            encoder.backward(&grad_z);
+            encoder.backward_params(&grad_z);
             enc_opt.step(&mut encoder);
         }
     }

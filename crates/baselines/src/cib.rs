@@ -48,9 +48,9 @@ pub fn train(features: &Matrix, bits: usize, config: &DeepBaselineConfig, seed: 
             let _ = add_quantization_loss(&z1, config.quantization, &mut g1);
             // Backprop each view through the shared network.
             let _ = mlp.forward(&x2);
-            mlp.backward(&g2);
+            mlp.backward_params(&g2);
             let _ = mlp.forward(&x1);
-            mlp.backward(&g1);
+            mlp.backward_params(&g1);
             sgd.step(&mut mlp);
         }
     }

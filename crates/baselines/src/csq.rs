@@ -70,7 +70,7 @@ pub fn train(
             grad.scale(2.0 / chunk.len() as f64);
             let _ = add_quantization_loss(&z, config.quantization, &mut grad);
             let _ = mlp.forward(&x);
-            mlp.backward(&grad);
+            mlp.backward_params(&grad);
             sgd.step(&mut mlp);
         }
     }

@@ -134,7 +134,7 @@ pub fn train_masked_pairwise(
             let (_, mut grad) = masked_l2_loss_and_grad(&z, &tb, &wb);
             let _ = add_quantization_loss(&z, config.quantization, &mut grad);
             let _ = mlp.forward(&x);
-            mlp.backward(&grad);
+            mlp.backward_params(&grad);
             sgd.step(&mut mlp);
         }
     }

@@ -87,7 +87,7 @@ pub fn train(features: &Matrix, bits: usize, config: &DeepBaselineConfig, seed: 
                 }
             }
             let _ = encoder.forward(&x);
-            encoder.backward(&grad_z);
+            encoder.backward_params(&grad_z);
             enc_opt.step(&mut encoder);
         }
     }

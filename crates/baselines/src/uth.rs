@@ -81,7 +81,7 @@ pub fn train(features: &Matrix, bits: usize, config: &DeepBaselineConfig, seed: 
             let mut grad = cosine_grad(&z, &h, &norms, &g);
             let _ = add_quantization_loss(&z, config.quantization, &mut grad);
             let _ = mlp.forward(&x);
-            mlp.backward(&grad);
+            mlp.backward_params(&grad);
             sgd.step(&mut mlp);
         }
     }

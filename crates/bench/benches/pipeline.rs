@@ -70,7 +70,7 @@ fn bench_pipeline(c: &mut Criterion) {
         bench.iter(|| {
             let zb = mlp.forward(&x);
             let (_, grad) = hashing_loss_and_grad(&zb, &q, &params);
-            mlp.backward(&grad);
+            mlp.backward_params(&grad);
             sgd.step(&mut mlp);
         });
     });

@@ -1,6 +1,7 @@
-//! Kernel-regression gate: tiled dense kernels and the batched Hamming
-//! scan must never be slower than their naive references on the standard
-//! bench shapes, and must stay bitwise identical to them.
+//! Kernel-regression gate: the tiled `matmul` and `matmul_t` kernels and
+//! the batched Hamming scan must never be slower than their naive
+//! references on the standard bench shapes, and must stay bitwise
+//! identical to them.
 //!
 //! `xtask ci` runs this binary after the test suite; it exits non-zero on
 //! the first regression so a kernel "optimization" that loses to the naive
@@ -12,7 +13,7 @@
 use std::time::Instant;
 use uhscm_eval::bitcode::hamming_scan;
 use uhscm_eval::BitCodes;
-use uhscm_linalg::{kernels, rng};
+use uhscm_linalg::{kernels, rng, Matrix};
 
 /// Interleaved best-of-N wall times of `naive` and `tuned`, in ns (first
 /// calls are discarded warm-ups). The two kernels alternate within one
@@ -49,28 +50,52 @@ fn check(name: &str, naive_ns: u64, tuned_ns: u64, identical: bool, failures: &m
     }
 }
 
+/// One dense-kernel row: the tuned product must equal the naive one bit for
+/// bit and be no slower.
+fn dense_row(
+    name: &str,
+    naive: &dyn Fn() -> Matrix,
+    tuned: &dyn Fn() -> Matrix,
+    failures: &mut u32,
+) {
+    let (want, got) = (naive(), tuned());
+    let identical =
+        got.as_slice().iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
+    let (naive_ns, tuned_ns) = best_pair_ns(
+        5,
+        || {
+            std::hint::black_box(naive());
+        },
+        || {
+            std::hint::black_box(tuned());
+        },
+    );
+    check(name, naive_ns, tuned_ns, identical, failures);
+}
+
 fn main() {
     let mut failures = 0u32;
     let mut r = rng::seeded(7);
 
     // Standard dense shape: 256 images of 4096-d features projected to 64
-    // bits — the matmul row of BENCH_kernels.json.
+    // bits — the matmul row of BENCH_kernels.json — and the same product
+    // with the right operand stored transposed (the matmul_t row), whose
+    // reference is a row of dots.
     let a = rng::gauss_matrix(&mut r, 256, 4096, 1.0);
     let b = rng::gauss_matrix(&mut r, 4096, 64, 1.0);
-    let tiled = a.matmul(&b);
-    let naive = kernels::matmul_naive(&a, &b);
-    let identical =
-        tiled.as_slice().iter().zip(naive.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
-    let (naive_ns, tiled_ns) = best_pair_ns(
-        5,
-        || {
-            std::hint::black_box(kernels::matmul_naive(&a, &b));
-        },
-        || {
-            std::hint::black_box(a.matmul(&b));
-        },
+    let bt = b.transpose();
+    dense_row(
+        "matmul 256x4096*4096x64",
+        &|| kernels::matmul_naive(&a, &b),
+        &|| a.matmul(&b),
+        &mut failures,
     );
-    check("matmul 256x4096*4096x64", naive_ns, tiled_ns, identical, &mut failures);
+    dense_row(
+        "matmul_t 256x4096*(64x4096)T",
+        &|| kernels::matmul_t_naive(&a, &bt),
+        &|| a.matmul_t(&bt),
+        &mut failures,
+    );
 
     // Standard Hamming shape: 128 queries against an 8192-code database at
     // 64 bits — the retrieval row of BENCH_kernels.json.

@@ -70,27 +70,33 @@ pub fn hashing_loss_and_grad(z: &Matrix, q: &Matrix, p: &LossParams) -> (LossBre
     let mut loss_c = 0.0;
     if p.alpha > 0.0 {
         let inv_gamma = 1.0 / p.gamma;
+        // e^{ĥ_ij/γ} across the anchor's row, each evaluated once.
+        let mut e = vec![0.0; t];
         for i in 0..t {
-            let psi: Vec<usize> = (0..t).filter(|&j| j != i && q[(i, j)] >= p.lambda).collect();
-            let phi: Vec<usize> = (0..t).filter(|&j| j != i && q[(i, j)] < p.lambda).collect();
-            if psi.is_empty() || phi.is_empty() {
+            let (qi, hi) = (q.row(i), h.row(i));
+            let in_psi = |j: &usize| *j != i && qi[*j] >= p.lambda;
+            let in_phi = |j: &usize| *j != i && qi[*j] < p.lambda;
+            let n_psi = (0..t).filter(in_psi).count();
+            if n_psi == 0 || !(0..t).any(|l| in_phi(&l)) {
                 continue;
             }
-            let b: f64 = phi.iter().map(|&l| (h[(i, l)] * inv_gamma).exp()).sum();
-            let w = p.alpha / (t as f64 * psi.len() as f64);
+            for (ev, &hv) in e.iter_mut().zip(hi) {
+                *ev = (hv * inv_gamma).exp();
+            }
+            let b: f64 = (0..t).filter(in_phi).map(|l| e[l]).sum();
+            let w = p.alpha / (t as f64 * n_psi as f64);
+            let gi = g.row_mut(i);
             let mut inv_denom_sum = 0.0;
-            for &j in &psi {
-                let a = (h[(i, j)] * inv_gamma).exp();
-                let denom = a + b;
-                loss_c += w * (denom.ln() - h[(i, j)] * inv_gamma);
+            for j in (0..t).filter(in_psi) {
+                let denom = e[j] + b;
+                loss_c += w * (denom.ln() - hi[j] * inv_gamma);
                 // d/dĥ_ij of (ln(A+B) − ĥ_ij/γ) = (A/(A+B) − 1)/γ.
-                g[(i, j)] += w * inv_gamma * (a / denom - 1.0);
+                gi[j] += w * inv_gamma * (e[j] / denom - 1.0);
                 inv_denom_sum += 1.0 / denom;
             }
-            for &l in &phi {
+            for l in (0..t).filter(in_phi) {
                 // d/dĥ_il: each positive term contributes e^{ĥ_il/γ}/(A_j+B).
-                let e_l = (h[(i, l)] * inv_gamma).exp();
-                g[(i, l)] += w * inv_gamma * e_l * inv_denom_sum;
+                gi[l] += w * inv_gamma * e[l] * inv_denom_sum;
             }
         }
     }
@@ -185,6 +191,83 @@ mod tests {
             }
         }
         grad
+    }
+
+    /// Eq. 11 with the Eq. 8 loop as first written: two index lists per
+    /// anchor and `e^{ĥ/γ}` evaluated for every negative twice. The
+    /// one-`exp` loop must reproduce it bit for bit.
+    fn two_exp_reference(z: &Matrix, q: &Matrix, p: &LossParams) -> (LossBreakdown, Matrix) {
+        let t = z.rows();
+        let (h, norms) = cosine_matrix(z);
+        let mut g = Matrix::zeros(t, t);
+        let mut loss_s = 0.0;
+        let inv_t2 = 1.0 / (t * t) as f64;
+        for i in 0..t {
+            for j in 0..t {
+                let e = h[(i, j)] - q[(i, j)];
+                loss_s += e * e * inv_t2;
+                if i != j {
+                    g[(i, j)] += 2.0 * e * inv_t2;
+                }
+            }
+        }
+        let mut loss_c = 0.0;
+        let inv_gamma = 1.0 / p.gamma;
+        for i in 0..t {
+            let psi: Vec<usize> = (0..t).filter(|&j| j != i && q[(i, j)] >= p.lambda).collect();
+            let phi: Vec<usize> = (0..t).filter(|&j| j != i && q[(i, j)] < p.lambda).collect();
+            if psi.is_empty() || phi.is_empty() {
+                continue;
+            }
+            let b: f64 = phi.iter().map(|&l| (h[(i, l)] * inv_gamma).exp()).sum();
+            let w = p.alpha / (t as f64 * psi.len() as f64);
+            let mut inv_denom_sum = 0.0;
+            for &j in &psi {
+                let a = (h[(i, j)] * inv_gamma).exp();
+                let denom = a + b;
+                loss_c += w * (denom.ln() - h[(i, j)] * inv_gamma);
+                g[(i, j)] += w * inv_gamma * (a / denom - 1.0);
+                inv_denom_sum += 1.0 / denom;
+            }
+            for &l in &phi {
+                let e_l = (h[(i, l)] * inv_gamma).exp();
+                g[(i, l)] += w * inv_gamma * e_l * inv_denom_sum;
+            }
+        }
+        let mut grad = cosine_grad(z, &h, &norms, &g);
+        let loss_q = add_quantization_loss(z, p.beta, &mut grad);
+        let breakdown = LossBreakdown {
+            total: loss_s + loss_q + loss_c,
+            similarity: loss_s,
+            quantization: loss_q,
+            contrastive: loss_c,
+        };
+        (breakdown, grad)
+    }
+
+    #[test]
+    fn eq8_loop_matches_two_exp_reference_bitwise() {
+        let p = params();
+        let levels = [-0.3, 0.2, p.lambda, 0.9];
+        for seed in 0..40u64 {
+            let t = 2 + seed as usize % 11;
+            let mut r = rng::seeded(700 + seed);
+            let z = rng::gauss_matrix(&mut r, t, 5, 0.5);
+            // Random q over levels that include λ itself (a positive).
+            let mut q = rng::gauss_matrix(&mut r, t, t, 1.0);
+            q.map_inplace(|v| levels[((v.abs() * 2.0) as usize).min(3)]);
+            // Anchor 0 has no positives; the last anchor has no negatives.
+            q.row_mut(0).fill(0.2);
+            q.row_mut(t - 1).fill(p.lambda);
+            let (got, got_grad) = hashing_loss_and_grad(&z, &q, &p);
+            let (want, want_grad) = two_exp_reference(&z, &q, &p);
+            let terms = |b: &LossBreakdown| {
+                [b.total, b.similarity, b.quantization, b.contrastive].map(f64::to_bits)
+            };
+            assert_eq!(terms(&got), terms(&want), "seed {seed}: loss terms");
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got_grad), bits(&want_grad), "seed {seed}: dL/dZ");
+        }
     }
 
     #[test]

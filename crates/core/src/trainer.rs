@@ -107,19 +107,26 @@ pub fn train_hashing_network(
 
             // Modified/None back-propagate through this pass; OriginalCib
             // interleaves a second view and re-forwards both below.
-            let z = match regularizer {
-                Regularizer::Modified | Regularizer::None => mlp.forward(&x),
-                Regularizer::OriginalCib => mlp.infer(&x),
+            let z = {
+                let _span = uhscm_obs::span("step.forward");
+                match regularizer {
+                    Regularizer::Modified | Regularizer::None => mlp.forward(&x),
+                    Regularizer::OriginalCib => mlp.infer(&x),
+                }
             };
             if uhscm_obs::enabled() {
                 saturation_sum += tanh_saturation(&z);
                 balance_sum += bit_balance(&z);
             }
-            let (mut breakdown, mut grad) = hashing_loss_and_grad(&z, &qb, &base_params);
+            let (mut breakdown, mut grad) = {
+                let _span = uhscm_obs::span("step.loss");
+                hashing_loss_and_grad(&z, &qb, &base_params)
+            };
 
             match regularizer {
                 Regularizer::Modified | Regularizer::None => {
-                    mlp.backward(&grad);
+                    let _span = uhscm_obs::span("step.backward");
+                    mlp.backward_params(&grad);
                 }
                 Regularizer::OriginalCib => {
                     // Two augmented views (input-noise augmentation stands in
@@ -132,23 +139,33 @@ pub fn train_hashing_network(
                     // does not suffer from.
                     let alpha = 0.08 * config.alpha;
                     let x2 = augment(&x, &mut r);
-                    let z2 = mlp.infer(&x2);
-                    let (jc, g1, g2) = cib_contrastive_loss_and_grad(&z, &z2, config.gamma);
+                    let z2 = {
+                        let _span = uhscm_obs::span("step.forward");
+                        mlp.infer(&x2)
+                    };
+                    let (jc, g1, g2) = {
+                        let _span = uhscm_obs::span("step.loss");
+                        cib_contrastive_loss_and_grad(&z, &z2, config.gamma)
+                    };
                     breakdown.contrastive = alpha * jc;
                     breakdown.total += breakdown.contrastive;
                     grad.axpy(alpha, &g1);
                     let mut grad2 = g2;
                     grad2.scale(alpha);
+                    let _span = uhscm_obs::span("step.backward");
                     let _ = mlp.forward(&x2);
-                    mlp.backward(&grad2);
+                    mlp.backward_params(&grad2);
                     let _ = mlp.forward(&x);
-                    mlp.backward(&grad);
+                    mlp.backward_params(&grad);
                 }
             }
             if uhscm_obs::enabled() {
                 grad_norm_sum += frobenius(&mlp.flat_grads());
             }
-            sgd.step(&mut mlp);
+            {
+                let _span = uhscm_obs::span("step.sgd");
+                sgd.step(&mut mlp);
+            }
             epoch_loss.total += breakdown.total;
             epoch_loss.similarity += breakdown.similarity;
             epoch_loss.quantization += breakdown.quantization;

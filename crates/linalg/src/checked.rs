@@ -20,7 +20,7 @@ use crate::Matrix;
 
 /// Abort with a sanitizer diagnostic if any element of `m` is NaN/Inf.
 ///
-/// `op` names the computation (e.g. `"Linear::backward"`), `operand` the
+/// `op` names the computation (e.g. `"Linear::backward_params"`), `operand` the
 /// tensor within it (e.g. `"grad_weight"`).
 ///
 /// # Panics

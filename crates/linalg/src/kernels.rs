@@ -3,49 +3,51 @@
 //! The three matrix products ([`Matrix::matmul`], [`Matrix::matmul_t`],
 //! [`Matrix::t_matmul`]) all funnel through the *band kernels* in this
 //! module: each computes a contiguous band of output rows, so the same
-//! kernel serves both the serial path (one band covering the whole output)
-//! and the [`crate::par`] row-band fan-out. On the 1-core containers this
-//! workspace benches on, serial throughput is the only lever, and these
-//! kernels are where it lives.
+//! kernel runs as the whole output when the [`crate::par`] plan is serial
+//! and as one of several bands when it fans out.
 //!
 //! # Tiling scheme
 //!
-//! Two shapes of kernel, chosen per product by what its reduction allows:
+//! One kernel shape serves all three products: [`MR`]-row axpy blocks with
+//! the reduction unrolled by four. Each product accumulates whole output
+//! rows (`out_row += x · b_row`), so the inner update is a full-width
+//! [`axpy4`] the compiler vectorizes to the target's full register width
+//! (the workspace builds with `target-cpu=native`, see
+//! `.cargo/config.toml`). The blocking wins are memory traffic: eight
+//! output rows are updated per pass over the streamed `b` panel, so `b` is
+//! read once per *eight* output rows instead of once per row — an 8×
+//! traffic cut on the `256×4096 · 4096×64` bench shape whose `b` panel
+//! (2 MB) does not fit in L2 — while the four-term unroll loads and stores
+//! each L1-resident output element once per *four* reduction terms instead
+//! of once per term.
 //!
-//! * **`matmul` / `t_matmul` — [`MR`]-row axpy blocks, reduction unrolled
-//!   by four.** Both products accumulate whole output rows
-//!   (`out_row += x · b_row`), so the inner update is a full-width
-//!   [`axpy4`] the compiler vectorizes to the target's full register width
-//!   (the workspace builds with `target-cpu=native`, see
-//!   `.cargo/config.toml`). The blocking wins are memory traffic: eight
-//!   output rows are updated per pass over the streamed `b` panel, so `b`
-//!   is read once per *eight* output rows instead of once per row — an 8×
-//!   traffic cut on the `256×4096 · 4096×64` bench shape whose `b` panel
-//!   (2 MB) does not fit in L2 — while the four-term unroll loads and
-//!   stores each L1-resident output element once per *four* reduction
-//!   terms instead of once per term.
-//! * **`matmul_t` — 2×4 register dot tile.** Its per-element reduction is
-//!   the strict sequential [`crate::vecops::dot`] fold, which cannot
-//!   vectorize without reordering terms; the tile instead runs eight
-//!   independent scalar accumulator chains so the multiply-add latency of
-//!   one element hides behind seven others.
+//! `matmul_t` is a row-by-row dot product, the strict sequential
+//! [`crate::vecops::dot`] fold. [`Matrix::matmul_t`] transposes its right
+//! operand once, which turns every output row into the same axpy over the
+//! rows of `bᵀ`: element `(i, j)` still adds `a[i][k] · b[j][k]` in
+//! ascending `k`, one term per step, so the fold's order is unchanged and
+//! only the interleaving across elements differs.
 //!
 //! # Accumulation-order invariant
 //!
 //! Tiling reorders loops *across* output elements only. Within one output
 //! element, the reduction runs in exactly the naive kernel's term order
 //! (ascending `k` for `matmul`/`matmul_t`, ascending row `i` for
-//! `t_matmul`, with the same exact-zero skips), starting from the same
-//! `0.0`. IEEE-754 addition is deterministic for a fixed operand sequence
-//! (vector lanes are element-wise — rustc enables neither FP contraction
-//! nor fast-math), so every tiled kernel is **bitwise identical** to its
-//! naive reference — pinned by the in-module tests and the randomized
-//! shapes in `tests/proptests.rs` — and the `parallel == serial` contract
-//! of [`crate::par`] holds by the same argument at any band split.
+//! `t_matmul`), starting from the same value. `matmul` and `t_matmul` skip
+//! exact-zero coefficients and start from `0.0`, as their naive loops do;
+//! `matmul_t` skips nothing and starts from `-0.0`, the start of
+//! `Iterator::sum`'s float fold. IEEE-754 addition is deterministic for a
+//! fixed operand sequence (vector lanes are element-wise — rustc enables
+//! neither FP contraction nor fast-math), so every tiled kernel is
+//! **bitwise identical** to its naive reference — pinned by the in-module
+//! tests and the randomized shapes in `tests/proptests.rs` — and the
+//! `parallel == serial` contract of [`crate::par`] holds by the same
+//! argument at any band split.
 //!
-//! The axpy-style band kernels accumulate in place and therefore require
-//! their output band to arrive **zero-initialized**; every caller hands
-//! them rows of a fresh [`Matrix::zeros`] buffer.
+//! The band kernels accumulate in place. The skipping kernels require
+//! their output band to arrive **zero-initialized** (every caller hands
+//! them rows of a fresh [`Matrix::zeros`] buffer); the dot kernel fills
+//! its band with `-0.0` itself.
 //!
 //! The naive references stay here as public functions: they are the oracle
 //! for the bitwise tests and the baseline the kernel bench
@@ -54,11 +56,11 @@
 
 use crate::matrix::Matrix;
 
-/// Row-block height for the axpy-style kernels (`matmul`, `t_matmul`): the
-/// streamed operand panel is read once per MR output rows, dividing its
-/// memory traffic by MR, while the MR output rows (a few KB) stay resident
-/// in L1 across the whole reduction. Taller blocks stop paying once the
-/// output block outgrows L1 alongside the streamed lines.
+/// Row-block height for the band kernels: the streamed operand panel is
+/// read once per MR output rows, dividing its memory traffic by MR, while
+/// the MR output rows (a few KB) stay resident in L1 across the whole
+/// reduction. Taller blocks stop paying once the output block outgrows L1
+/// alongside the streamed lines.
 const MR: usize = 8;
 
 /// Exact sparsity test, factored out so the deliberate bitwise comparison
@@ -69,7 +71,7 @@ fn nonzero(a: f64) -> bool {
 }
 
 /// `o[t] += x * b[t]` over the full row width — the vectorized inner update
-/// shared by the axpy-style kernels. Term order per element: this adds
+/// shared by the band kernels. Term order per element: this adds
 /// exactly one ascending-order term to each output element per call.
 #[inline(always)]
 fn axpy(o: &mut [f64], x: f64, b: &[f64]) {
@@ -96,12 +98,19 @@ fn axpy4(o: &mut [f64], x: [f64; 4], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f
 
 /// One 4-term reduction step for a single output row: [`axpy4`] when all
 /// four coefficients are nonzero (the overwhelmingly common case for dense
-/// data), per-term guarded [`axpy`] fallback otherwise. Either path adds
-/// the surviving terms in ascending order, preserving the naive kernel's
-/// exact-zero skips.
+/// data) or `SKIP_ZEROS` is off, per-term guarded [`axpy`] fallback
+/// otherwise. Either path adds the surviving terms in ascending order,
+/// preserving the naive kernel's exact-zero skips.
 #[inline(always)]
-fn step4(o: &mut [f64], x: [f64; 4], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) {
-    if nonzero(x[0]) && nonzero(x[1]) && nonzero(x[2]) && nonzero(x[3]) {
+fn step4<const SKIP_ZEROS: bool>(
+    o: &mut [f64],
+    x: [f64; 4],
+    b0: &[f64],
+    b1: &[f64],
+    b2: &[f64],
+    b3: &[f64],
+) {
+    if !SKIP_ZEROS || (nonzero(x[0]) && nonzero(x[1]) && nonzero(x[2]) && nonzero(x[3])) {
         axpy4(o, x, b0, b1, b2, b3);
     } else {
         if nonzero(x[0]) {
@@ -123,18 +132,32 @@ fn step4(o: &mut [f64], x: [f64; 4], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f
 // matmul: out[i][j] = Σ_k a[i][k] · b[k][j]
 // ---------------------------------------------------------------------------
 
-/// Tiled band kernel for [`Matrix::matmul`]: fills `out` (a contiguous,
-/// zero-initialized band of output rows starting at global row `row0`)
-/// from `a` and `b`.
+/// Tiled band kernel for [`Matrix::matmul`] and, over a transposed right
+/// operand, [`Matrix::matmul_t`]: fills `out` (a contiguous band of output
+/// rows starting at global row `row0`) from `a` and `b`.
+///
+/// With `SKIP_ZEROS` (`matmul`), `out` must arrive zeroed and exact-zero
+/// coefficients of `a` are skipped, as [`matmul_naive`] does. Without it
+/// (`matmul_t`), the band is first filled with `-0.0` and every term is
+/// added, so each element is [`crate::vecops::dot`]'s exact fold: the two
+/// starts differ bitwise exactly when every term is a negative zero.
 ///
 /// # Panics
 /// Panics (debug) if `out` is not a whole number of `b.cols()`-wide rows.
-pub(crate) fn matmul_band(a: &Matrix, row0: usize, b: &Matrix, out: &mut [f64]) {
+pub(crate) fn matmul_band<const SKIP_ZEROS: bool>(
+    a: &Matrix,
+    row0: usize,
+    b: &Matrix,
+    out: &mut [f64],
+) {
     let n = b.cols();
     if n == 0 {
         return;
     }
     debug_assert_eq!(out.len() % n, 0);
+    if !SKIP_ZEROS {
+        out.fill(-0.0);
+    }
     let mut rest: &mut [f64] = out;
     let mut i = row0;
     // MR-row blocks, then single leftover rows (also used whenever the band
@@ -142,11 +165,11 @@ pub(crate) fn matmul_band(a: &Matrix, row0: usize, b: &Matrix, out: &mut [f64]) 
     while rest.len() >= MR * n {
         let (block, tail) = std::mem::take(&mut rest).split_at_mut(MR * n);
         rest = tail;
-        matmul_rows8(a, i, b, block);
+        matmul_rows8::<SKIP_ZEROS>(a, i, b, block);
         i += MR;
     }
     for o in rest.chunks_exact_mut(n) {
-        matmul_rows1(a.row(i), b, o);
+        matmul_rows1::<SKIP_ZEROS>(a.row(i), b, o);
         i += 1;
     }
 }
@@ -155,9 +178,9 @@ pub(crate) fn matmul_band(a: &Matrix, row0: usize, b: &Matrix, out: &mut [f64]) 
 /// reduction unrolled four `k` terms per pass, so each row of `b` is
 /// loaded once per eight output rows and each output element is
 /// loaded/stored once per four terms. Each element's terms accumulate in
-/// ascending-`k` order with the naive kernel's exact-zero skip; `block`
-/// must arrive zeroed.
-fn matmul_rows8(a: &Matrix, i: usize, b: &Matrix, block: &mut [f64]) {
+/// ascending-`k` order onto `block`'s initial values, with the naive
+/// kernel's exact-zero skip when `SKIP_ZEROS` is on.
+fn matmul_rows8<const SKIP_ZEROS: bool>(a: &Matrix, i: usize, b: &Matrix, block: &mut [f64]) {
     let n = b.cols();
     let kk = a.cols();
     let bdata = b.as_slice();
@@ -186,7 +209,8 @@ fn matmul_rows8(a: &Matrix, i: usize, b: &Matrix, block: &mut [f64]) {
         let (b2, b3) = rest.split_at(n);
         let b3 = &b3[..n];
         for (r, o) in os.iter_mut().enumerate() {
-            step4(o, [ar[r][k], ar[r][k + 1], ar[r][k + 2], ar[r][k + 3]], b0, b1, b2, b3);
+            let x = [ar[r][k], ar[r][k + 1], ar[r][k + 2], ar[r][k + 3]];
+            step4::<SKIP_ZEROS>(o, x, b0, b1, b2, b3);
         }
         k += 4;
     }
@@ -194,7 +218,7 @@ fn matmul_rows8(a: &Matrix, i: usize, b: &Matrix, block: &mut [f64]) {
         let brow = &bdata[k * n..(k + 1) * n];
         for (r, o) in os.iter_mut().enumerate() {
             let x = ar[r][k];
-            if nonzero(x) {
+            if !SKIP_ZEROS || nonzero(x) {
                 axpy(o, x, brow);
             }
         }
@@ -204,8 +228,8 @@ fn matmul_rows8(a: &Matrix, i: usize, b: &Matrix, block: &mut [f64]) {
 
 /// Single-row tail of [`matmul_band`]: the same 4-term-unrolled reduction
 /// as [`matmul_rows8`] for one row, same ascending-`k` order and zero
-/// skip; `out` must arrive zeroed.
-fn matmul_rows1(a_row: &[f64], b: &Matrix, out: &mut [f64]) {
+/// skip.
+fn matmul_rows1<const SKIP_ZEROS: bool>(a_row: &[f64], b: &Matrix, out: &mut [f64]) {
     let n = b.cols();
     let kk = a_row.len();
     let bdata = b.as_slice();
@@ -215,105 +239,16 @@ fn matmul_rows1(a_row: &[f64], b: &Matrix, out: &mut [f64]) {
         let (b1, rest) = rest.split_at(n);
         let (b2, b3) = rest.split_at(n);
         let b3 = &b3[..n];
-        step4(out, [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]], b0, b1, b2, b3);
+        let x = [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]];
+        step4::<SKIP_ZEROS>(out, x, b0, b1, b2, b3);
         k += 4;
     }
     while k < kk {
         let x = a_row[k];
-        if nonzero(x) {
+        if !SKIP_ZEROS || nonzero(x) {
             axpy(out, x, &bdata[k * n..(k + 1) * n]);
         }
         k += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// matmul_t: out[i][j] = Σ_k a[i][k] · b[j][k]  (dot products of rows)
-// ---------------------------------------------------------------------------
-
-/// Tiled band kernel for [`Matrix::matmul_t`]: `out` is a band of output
-/// rows starting at global row `row0`; output column `j` is the dot of
-/// `a.row(i)` with `b.row(j)` (no zero skip — the naive kernel is a plain
-/// `dot`).
-pub(crate) fn matmul_t_band(a: &Matrix, row0: usize, b: &Matrix, out: &mut [f64]) {
-    let n = b.rows();
-    if n == 0 {
-        return;
-    }
-    debug_assert_eq!(out.len() % n, 0);
-    let mut rows = out.chunks_exact_mut(n);
-    let mut i = row0;
-    loop {
-        let Some(o0) = rows.next() else { break };
-        let Some(o1) = rows.next() else {
-            matmul_t_rows1(a.row(i), b, o0);
-            break;
-        };
-        matmul_t_rows2([a.row(i), a.row(i + 1)], b, [o0, o1]);
-        i += 2;
-    }
-}
-
-/// 2×4 register tile: two query rows against four `b` rows, `k` innermost,
-/// eight scalar accumulators. Each element is the plain ascending-`k` dot.
-///
-/// The accumulators start at `-0.0`, not `0.0`: [`crate::vecops::dot`]
-/// sums via `Iterator::sum`, whose float fold starts from `-0.0` (the
-/// IEEE-754 additive identity), and the two starts differ bitwise exactly
-/// when every accumulated term is a negative zero.
-fn matmul_t_rows2(a: [&[f64]; 2], b: &Matrix, o: [&mut [f64]; 2]) {
-    let n = b.rows();
-    let [a0, a1] = a;
-    let [o0, o1] = o;
-    let mut j = 0;
-    while j + 4 <= n {
-        let (b0, b1, b2, b3) = (b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-        let mut c = [[-0.0f64; 4]; 2];
-        let ks = a0.iter().zip(a1).zip(b0).zip(b1).zip(b2).zip(b3);
-        for (((((&x0, &x1), &y0), &y1), &y2), &y3) in ks {
-            c[0][0] += x0 * y0;
-            c[0][1] += x0 * y1;
-            c[0][2] += x0 * y2;
-            c[0][3] += x0 * y3;
-            c[1][0] += x1 * y0;
-            c[1][1] += x1 * y1;
-            c[1][2] += x1 * y2;
-            c[1][3] += x1 * y3;
-        }
-        o0[j..j + 4].copy_from_slice(&c[0]);
-        o1[j..j + 4].copy_from_slice(&c[1]);
-        j += 4;
-    }
-    while j < n {
-        let brow = b.row(j);
-        o0[j] = crate::vecops::dot(a0, brow);
-        o1[j] = crate::vecops::dot(a1, brow);
-        j += 1;
-    }
-}
-
-/// Single-row tail of [`matmul_t_band`]: 1×4 tiles plus scalar dots. The
-/// accumulators start at `-0.0` for the same signed-zero reason as
-/// [`matmul_t_rows2`].
-fn matmul_t_rows1(a_row: &[f64], b: &Matrix, out: &mut [f64]) {
-    let n = b.rows();
-    let mut j = 0;
-    while j + 4 <= n {
-        let (b0, b1, b2, b3) = (b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-        let mut c = [-0.0f64; 4];
-        let ks = a_row.iter().zip(b0).zip(b1).zip(b2).zip(b3);
-        for ((((&x, &y0), &y1), &y2), &y3) in ks {
-            c[0] += x * y0;
-            c[1] += x * y1;
-            c[2] += x * y2;
-            c[3] += x * y3;
-        }
-        out[j..j + 4].copy_from_slice(&c);
-        j += 4;
-    }
-    while j < n {
-        out[j] = crate::vecops::dot(a_row, b.row(j));
-        j += 1;
     }
 }
 
@@ -375,7 +310,7 @@ fn t_matmul_rows8(a: &Matrix, k: usize, b: &Matrix, block: &mut [f64]) {
         let (b2, b3) = rest.split_at(bc);
         let b3 = &b3[..bc];
         for (j, o) in os.iter_mut().enumerate() {
-            step4(o, [ar0[k + j], ar1[k + j], ar2[k + j], ar3[k + j]], b0, b1, b2, b3);
+            step4::<true>(o, [ar0[k + j], ar1[k + j], ar2[k + j], ar3[k + j]], b0, b1, b2, b3);
         }
         i += 4;
     }
@@ -409,7 +344,7 @@ fn t_matmul_rows1(a: &Matrix, k: usize, b: &Matrix, out: &mut [f64]) {
         let (b1, rest) = rest.split_at(bc);
         let (b2, b3) = rest.split_at(bc);
         let b3 = &b3[..bc];
-        step4(out, [ar0[k], ar1[k], ar2[k], ar3[k]], b0, b1, b2, b3);
+        step4::<true>(out, [ar0[k], ar1[k], ar2[k], ar3[k]], b0, b1, b2, b3);
         i += 4;
     }
     while i < rows {
@@ -508,7 +443,7 @@ mod tests {
     #[test]
     fn band_kernels_match_naive_on_awkward_shapes() {
         // Dims straddling every remainder path: MR=8 row blocks plus
-        // single-row tails, matmul_t's 2-row/4-column tiles, including
+        // single-row tails and the 4-term reduction tail, including
         // degenerate 1-element matrices.
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -522,13 +457,12 @@ mod tests {
         ] {
             let (a, b) = pair(m, k, n, (m * 1000 + k * 10 + n) as u64);
             let mut tiled = Matrix::zeros(m, n);
-            matmul_band(&a, 0, &b, tiled.as_mut_slice());
+            matmul_band::<true>(&a, 0, &b, tiled.as_mut_slice());
             assert_bitwise_eq(&tiled, &matmul_naive(&a, &b), "matmul");
 
-            let bt = b.transpose();
             let mut tiled_t = Matrix::zeros(m, n);
-            matmul_t_band(&a, 0, &bt, tiled_t.as_mut_slice());
-            assert_bitwise_eq(&tiled_t, &matmul_t_naive(&a, &bt), "matmul_t");
+            matmul_band::<false>(&a, 0, &b, tiled_t.as_mut_slice());
+            assert_bitwise_eq(&tiled_t, &matmul_t_naive(&a, &b.transpose()), "matmul_t");
 
             let c = matmul_naive(&a, &b);
             let mut tiled_tm = Matrix::zeros(k, n);
@@ -549,7 +483,7 @@ mod tests {
         }
         let b = rng::gauss_matrix(&mut r, 10, 7, 1.0);
         let mut tiled = Matrix::zeros(6, 7);
-        matmul_band(&a, 0, &b, tiled.as_mut_slice());
+        matmul_band::<true>(&a, 0, &b, tiled.as_mut_slice());
         assert_bitwise_eq(&tiled, &matmul_naive(&a, &b), "matmul with zeros");
 
         let c = matmul_naive(&a, &b);
@@ -558,15 +492,14 @@ mod tests {
         assert_bitwise_eq(&tiled_tm, &t_matmul_naive(&a, &c), "t_matmul with zeros");
 
         // An all-zero `a` row makes every matmul_t output in that row a
-        // signed zero, pinning the tile accumulators to `Iterator::sum`'s
+        // signed zero, pinning the dot kernel's start to `Iterator::sum`'s
         // `-0.0` fold identity (the naive reference is a plain dot).
         for row in a.as_mut_slice()[..10].iter_mut() {
             *row = 0.0;
         }
-        let bt = b.transpose();
         let mut tiled_t = Matrix::zeros(6, 7);
-        matmul_t_band(&a, 0, &bt, tiled_t.as_mut_slice());
-        assert_bitwise_eq(&tiled_t, &matmul_t_naive(&a, &bt), "matmul_t with zero row");
+        matmul_band::<false>(&a, 0, &b, tiled_t.as_mut_slice());
+        assert_bitwise_eq(&tiled_t, &matmul_t_naive(&a, &b.transpose()), "matmul_t with zero row");
     }
 
     #[test]
@@ -578,7 +511,7 @@ mod tests {
         let n = b.cols();
         for (start, rows) in [(0usize, 5usize), (5, 3), (8, 3), (3, 1)] {
             let mut band = vec![0.0; rows * n];
-            matmul_band(&a, start, &b, &mut band);
+            matmul_band::<true>(&a, start, &b, &mut band);
             for (off, got) in band.chunks_exact(n).enumerate() {
                 let want = full.row(start + off);
                 assert!(

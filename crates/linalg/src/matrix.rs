@@ -188,7 +188,7 @@ impl Matrix {
         let cols = other.cols;
         let work = self.rows.saturating_mul(self.cols).saturating_mul(cols);
         crate::par::par_row_bands_mut(&mut out.data, cols, work, |row0, band| {
-            crate::kernels::matmul_band(self, row0, other, band);
+            crate::kernels::matmul_band::<true>(self, row0, other, band);
         });
         out
     }
@@ -218,11 +218,13 @@ impl Matrix {
         out
     }
 
-    /// `self * other^T` without materializing the transpose.
+    /// `self * other^T`, each element the row dot `vecops::dot(self_i, other_j)`.
     ///
-    /// Runs the 2×4 register-tiled dot-product band kernel of
-    /// [`crate::kernels`]; each output element is the plain ascending-`k`
-    /// dot, bitwise identical to [`crate::kernels::matmul_t_naive`].
+    /// Transposes `other` once, then runs [`Self::matmul`]'s band kernel
+    /// over the transpose without its exact-zero skip and from `-0.0`, so
+    /// each output element folds `self[i][k] · other[j][k]` in ascending
+    /// `k` exactly as the dot does: bitwise identical to
+    /// [`crate::kernels::matmul_t_naive`] at any thread count.
     ///
     /// # Panics
     /// Panics on column-count mismatch.
@@ -232,11 +234,12 @@ impl Matrix {
             "matmul_t dim mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
+        let bt = other.transpose();
         let mut out = Matrix::zeros(self.rows, other.rows);
         let cols = other.rows;
         let work = self.rows.saturating_mul(self.cols).saturating_mul(cols);
         crate::par::par_row_bands_mut(&mut out.data, cols, work, |row0, band| {
-            crate::kernels::matmul_t_band(self, row0, other, band);
+            crate::kernels::matmul_band::<false>(self, row0, &bt, band);
         });
         out
     }
@@ -484,6 +487,37 @@ mod tests {
         let direct = a.matmul_t(&b);
         let via_transpose = a.matmul(&b.transpose());
         assert_eq!(direct, via_transpose);
+    }
+
+    #[test]
+    fn matmul_t_keeps_signed_zeros_at_every_thread_count() {
+        // Zero rows of `a` (in every band at 2 and 3 threads) against `b`
+        // rows that are all negative, mixed and all positive: each product
+        // in a zero row is a signed zero, and only an unskipped fold from
+        // `-0.0` gives the dot's `-0.0` for the negative row and `+0.0`
+        // for the others.
+        let a = Matrix::from_rows(&[
+            vec![0.0; 6],
+            vec![1.5, -2.0, 0.0, 3.0, -0.5, 2.0],
+            vec![0.0; 6],
+            vec![-1.0, 0.25, 2.0, -3.0, 0.0, 1.0],
+            vec![0.0; 6],
+        ]);
+        let b = Matrix::from_rows(&[
+            vec![-1.0, -2.0, -0.5, -3.0, -4.0, -1.5],
+            vec![1.0, -2.0, 0.5, -3.0, 4.0, -1.5],
+            vec![1.0, 2.0, 0.5, 3.0, 4.0, 1.5],
+        ]);
+        let want = crate::kernels::matmul_t_naive(&a, &b);
+        for i in [0, 2, 4] {
+            let signs: Vec<bool> = want.row(i).iter().map(|v| v.is_sign_negative()).collect();
+            assert_eq!(signs, [true, false, false], "row {i} of the reference");
+        }
+        for threads in [2, 3] {
+            let got = crate::par::with_threads(threads, || a.matmul_t(&b));
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{threads} threads");
+        }
     }
 
     #[test]

@@ -84,7 +84,8 @@ impl Linear {
         y
     }
 
-    /// Forward pass that caches input and output for a later [`Self::backward`].
+    /// Forward pass that caches input and output for a later
+    /// [`Self::backward_params`].
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let y = self.infer(x);
         self.input_cache = Some(x.clone());
@@ -92,12 +93,13 @@ impl Linear {
         y
     }
 
-    /// Backward pass: given `dL/dy`, accumulate `dL/dW`, `dL/db` and return
-    /// `dL/dx`.
+    /// Parameter half of the backward pass: given `dL/dy`, accumulate
+    /// `dL/dW` and `dL/db` and return `δ = dL/dy ⊙ act'(y)`, from which
+    /// [`Self::input_grad`] gives `dL/dx` if the caller reads it.
     ///
     /// # Panics
     /// Panics if called without a preceding [`Self::forward`].
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+    pub fn backward_params(&mut self, grad_output: &Matrix) -> Matrix {
         let x = self.input_cache.as_ref().expect("backward before forward");
         let y = self.output_cache.as_ref().expect("backward before forward");
         assert_eq!(grad_output.shape(), y.shape(), "grad_output shape mismatch");
@@ -115,11 +117,10 @@ impl Linear {
             }
         });
 
-        // dL/dW += xᵀ δ ;  dL/db += Σ_rows δ ;  dL/dx = δ Wᵀ.
-        // The t_matmul and matmul_t kernels fan out over output rows; the
-        // bias gradient fans out over *columns*, so every slot keeps one
-        // ascending-row accumulation order (bitwise identical for any
-        // thread count).
+        // dL/dW += xᵀ δ ;  dL/db += Σ_rows δ.
+        // The t_matmul kernel fans out over output rows; the bias gradient
+        // fans out over *columns*, so every slot keeps one ascending-row
+        // accumulation order (bitwise identical for any thread count).
         self.grad_weight.axpy(1.0, &x.t_matmul(&delta));
         let n = delta.rows();
         par::par_row_bands_mut(&mut self.grad_bias, 1, n.saturating_mul(cols), |col0, band| {
@@ -130,10 +131,16 @@ impl Linear {
                 }
             }
         });
+        uhscm_linalg::check_finite!("Linear::backward_params", "grad_weight", &self.grad_weight);
+        uhscm_linalg::check_slice_finite!("Linear::backward_params", "grad_bias", &self.grad_bias);
+        delta
+    }
+
+    /// Input half of the backward pass: `dL/dx = δ Wᵀ` for the `δ` that
+    /// [`Self::backward_params`] returned.
+    pub fn input_grad(&self, delta: &Matrix) -> Matrix {
         let grad_input = delta.matmul_t(&self.weight);
-        uhscm_linalg::check_finite!("Linear::backward", "grad_weight", &self.grad_weight);
-        uhscm_linalg::check_slice_finite!("Linear::backward", "grad_bias", &self.grad_bias);
-        uhscm_linalg::check_finite!("Linear::backward", "grad_input", &grad_input);
+        uhscm_linalg::check_finite!("Linear::input_grad", "grad_input", &grad_input);
         grad_input
     }
 
@@ -186,7 +193,7 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut rng = seeded(3);
         let mut layer = Linear::new(2, 2, Activation::Tanh, &mut rng);
-        let _ = layer.backward(&Matrix::zeros(1, 2));
+        let _ = layer.backward_params(&Matrix::zeros(1, 2));
     }
 
     #[test]
@@ -195,7 +202,7 @@ mod tests {
         let mut layer = Linear::new(2, 2, Activation::Tanh, &mut rng);
         let x = Matrix::from_rows(&[vec![1.0, -1.0]]);
         let y = layer.forward(&x);
-        let _ = layer.backward(&y);
+        let _ = layer.backward_params(&y);
         assert!(layer.grad_weight.max_abs() > 0.0);
         layer.zero_grad();
         assert_eq!(layer.grad_weight.max_abs(), 0.0);

@@ -86,7 +86,8 @@ impl Mlp {
         self.layers.last().expect("Mlp::output_dim: network has no layers").fan_out()
     }
 
-    /// Training forward pass (caches activations for [`Self::backward`]).
+    /// Training forward pass (caches activations for [`Self::backward`] and
+    /// [`Self::backward_params`]).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let mut h = self.layers[0].forward(x);
         for layer in &mut self.layers[1..] {
@@ -107,11 +108,28 @@ impl Mlp {
     /// Back-propagate `dL/dy` through the whole stack, accumulating parameter
     /// gradients; returns `dL/dx`.
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        let delta = self.backward_params(grad_output);
+        match self.layers.first() {
+            Some(first) => first.input_grad(&delta),
+            None => delta,
         }
-        g
+    }
+
+    /// Back-propagate `dL/dy` through the whole stack, accumulating the same
+    /// parameter gradients as [`Self::backward`] but skipping the first
+    /// layer's `δ Wᵀ`, for callers that drop `dL/dx`. Returns the first
+    /// layer's `δ`.
+    pub fn backward_params(&mut self, grad_output: &Matrix) -> Matrix {
+        let mut delta = grad_output.clone();
+        let mut above: Option<&Linear> = None;
+        for layer in self.layers.iter_mut().rev() {
+            if let Some(above) = above {
+                delta = above.input_grad(&delta);
+            }
+            delta = layer.backward_params(&delta);
+            above = Some(layer);
+        }
+        delta
     }
 
     /// Zero all accumulated gradients.

@@ -9,20 +9,22 @@
 //! `dL/dZ`, so each method only has to differentiate its scalar loss with
 //! respect to `ĥ`.
 
-use uhscm_linalg::{vecops, Matrix};
+use uhscm_linalg::Matrix;
 
 /// Pairwise cosine matrix of the rows of `z`, plus the row norms
 /// (clamped away from zero). The diagonal is exactly 1.
+///
+/// One Gram product `z zᵀ`: its entries are the row dots
+/// `vecops::dot(z_i, z_j)` bit for bit, so its diagonal holds the squared
+/// norms `vecops::norm` would take the root of, and `(i, j)` equals
+/// `(j, i)` because products commute and both fold in ascending order.
 pub fn cosine_matrix(z: &Matrix) -> (Matrix, Vec<f64>) {
     let t = z.rows();
-    let norms: Vec<f64> = (0..t).map(|i| vecops::norm(z.row(i)).max(1e-12)).collect();
-    let mut h = Matrix::zeros(t, t);
-    for i in 0..t {
-        h[(i, i)] = 1.0;
-        for j in (i + 1)..t {
-            let v = vecops::dot(z.row(i), z.row(j)) / (norms[i] * norms[j]);
-            h[(i, j)] = v;
-            h[(j, i)] = v;
+    let mut h = z.matmul_t(z);
+    let norms: Vec<f64> = h.as_slice().iter().step_by(t + 1).map(|d| d.sqrt().max(1e-12)).collect();
+    for (i, &ni) in norms.iter().enumerate() {
+        for (j, (v, &nj)) in h.row_mut(i).iter_mut().zip(&norms).enumerate() {
+            *v = if i == j { 1.0 } else { *v / (ni * nj) };
         }
     }
     (h, norms)
@@ -39,7 +41,6 @@ pub fn cosine_matrix(z: &Matrix) -> (Matrix, Vec<f64>) {
 /// Panics if `h` or `g` is not `t × t` for a `t × k` batch `z`.
 pub fn cosine_grad(z: &Matrix, h: &Matrix, norms: &[f64], g: &Matrix) -> Matrix {
     let t = z.rows();
-    let k = z.cols();
     assert_eq!(h.shape(), (t, t), "cosine matrix shape mismatch");
     assert_eq!(g.shape(), (t, t), "upstream gradient shape mismatch");
     assert_eq!(norms.len(), t, "norm count mismatch");
@@ -73,10 +74,8 @@ pub fn cosine_grad(z: &Matrix, h: &Matrix, norms: &[f64], g: &Matrix) -> Matrix 
     for i in 0..t {
         let coef: f64 = (0..t).map(|j| s[(i, j)] * h[(i, j)]).sum();
         let scale = coef / (norms[i] * norms[i]);
-        let zi_row: Vec<f64> = z.row(i).to_vec();
-        let gi = grad.row_mut(i);
-        for c in 0..k {
-            gi[c] -= scale * zi_row[c];
+        for (gv, &zv) in grad.row_mut(i).iter_mut().zip(z.row(i)) {
+            *gv -= scale * zv;
         }
     }
     grad
@@ -203,7 +202,7 @@ pub fn two_view_contrastive_loss_and_grad(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uhscm_linalg::rng;
+    use uhscm_linalg::{par, rng, vecops};
 
     #[test]
     fn cosine_matrix_matches_vecops() {
@@ -214,6 +213,38 @@ mod tests {
             for j in 0..5 {
                 let expected = if i == j { 1.0 } else { vecops::cosine(z.row(i), z.row(j)) };
                 assert!((h[(i, j)] - expected).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn cosine_matrix_is_the_per_pair_definition_bitwise() {
+        // Per pair: dot(z_i, z_j) / (n_i·n_j) with n_i = norm(z_i) clamped
+        // to 1e-12, and 1 on the diagonal. A zero row (its entries are
+        // signed zeros), an all-negative row and duplicated rows included.
+        let mut r = rng::seeded(11);
+        let mut z = rng::gauss_matrix(&mut r, 13, 7, 1.0);
+        z.row_mut(3).fill(0.0);
+        z.row_mut(7).iter_mut().for_each(|v| *v = -v.abs() - 0.1);
+        let dup = z.row(5).to_vec();
+        z.row_mut(9).copy_from_slice(&dup);
+        z.row_mut(12).copy_from_slice(&dup);
+        let n: Vec<f64> = (0..13).map(|i| vecops::norm(z.row(i)).max(1e-12)).collect();
+        let want = |i: usize, j: usize| {
+            if i == j {
+                1.0
+            } else {
+                vecops::dot(z.row(i), z.row(j)) / (n[i] * n[j])
+            }
+        };
+        for threads in [1, 2, 3] {
+            let (h, norms) = par::with_threads(threads, || cosine_matrix(&z));
+            for i in 0..13 {
+                assert_eq!(norms[i].to_bits(), n[i].to_bits(), "{threads} threads: norm {i}");
+                for j in 0..13 {
+                    let (got, expected) = (h[(i, j)], want(i, j));
+                    assert_eq!(got.to_bits(), expected.to_bits(), "{threads} threads: ({i}, {j})");
+                }
             }
         }
     }

@@ -120,4 +120,30 @@ proptest! {
             prop_assert_eq!(&g1, &gt);
         }
     }
+
+    #[test]
+    fn parameter_only_backward_matches_backward_bitwise(
+        (input, hidden, out) in arch(),
+        n in 1usize..7,
+        seed in any::<u64>(),
+    ) {
+        use uhscm_linalg::par;
+        let mut r = rng::seeded(seed);
+        let mlp = Mlp::hashing_network(input, &hidden, out, &mut r);
+        let x = rng::gauss_matrix(&mut r, n, input, 1.0);
+        let dy = rng::gauss_matrix(&mut r, n, out, 1.0);
+        let bits = |g: Vec<f64>| g.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for threads in [1usize, 2, 3] {
+            let (full, params_only) = par::with_threads(threads, || {
+                let mut a = mlp.clone();
+                let _ = a.forward(&x);
+                let _ = a.backward(&dy);
+                let mut b = mlp.clone();
+                let _ = b.forward(&x);
+                b.backward_params(&dy);
+                (a.flat_grads(), b.flat_grads())
+            });
+            prop_assert_eq!(bits(full), bits(params_only), "{} threads", threads);
+        }
+    }
 }

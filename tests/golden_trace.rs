@@ -32,6 +32,10 @@ const EXPECTED_SPAN_PATHS: &[&str] = &[
     "train/build_similarity/denoise",
     "train/build_similarity/build_q",
     "train/fit",
+    "train/fit/step.forward",
+    "train/fit/step.loss",
+    "train/fit/step.backward",
+    "train/fit/step.sgd",
     "evaluate_map",
     "evaluate_map/encode",
     "evaluate_map/map",
